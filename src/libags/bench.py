@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import FeatureMatrix, make_two_moons
 from .errors import ValidationError
-from .model import LogisticModel, RffEncoder, fit_logistic, fit_logistic_soft, one_hot, predict_proba, rff_encode
+from .model import LogisticModel, RffEncoder, fit_logistic_soft, one_hot, predict_proba, rff_encode
 from .pipeline import PipelineConfig, run_selection
 from .score import entropy_rows
 
@@ -117,9 +117,10 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
         z_test = rff_encode(encoder, test.features)
         z_pool = rff_encode(encoder, pool.features)
 
-        scoring = fit_logistic(z_train, train.labels, 2, config.l2, config.epochs, config.lr, config.seed)
-        proba_train = predict_proba(scoring, z_train)
-        proba_pool = predict_proba(scoring, z_pool)
+        # The scoring model is the plain fit on real data, so it is also the erm baseline.
+        erm = _fit_with_extra(z_train, train.labels, [], [], config)
+        proba_train = predict_proba(erm, z_train)
+        proba_pool = predict_proba(erm, z_pool)
 
         # Geometry in raw input space, scoring signal from the encoded model.
         report = run_selection(train, pool, config.replace(seed=seed), external_proba=(proba_train, proba_pool))
@@ -130,7 +131,7 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
             # on which other methods were requested.
             rng = np.random.default_rng(seed + _BASELINE_SEED_OFFSET + METHODS.index(name))
             if name == "erm":
-                model = _fit_with_extra(z_train, train.labels, [], [], config)
+                model = erm
             elif name == "libags":
                 extra = z_pool.values[report.selected]
                 soft = np.asarray(report.soft_labels, dtype=np.float64).reshape(m_hat, 2)

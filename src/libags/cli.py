@@ -119,8 +119,9 @@ def _cmd_demo(args) -> int:
     z_train = rff_encode(encoder, train.features)
     z_pool = rff_encode(encoder, pool.features)
 
-    scoring = fit_logistic(z_train, train.labels, 2, config.l2, config.epochs, config.lr, config.seed)
-    report = run_selection(train, pool, config, external_proba=(predict_proba(scoring, z_train), predict_proba(scoring, z_pool)))
+    # The scoring model is the plain fit on real data, so it is also the ERM baseline.
+    erm = fit_logistic(z_train, train.labels, 2, config.l2, config.epochs, config.lr, config.seed)
+    report = run_selection(train, pool, config, external_proba=(predict_proba(erm, z_train), predict_proba(erm, z_pool)))
 
     targets = one_hot(train.labels, 2)
     feats = z_train.values
@@ -128,7 +129,6 @@ def _cmd_demo(args) -> int:
         feats = np.vstack([feats, z_pool.values[report.selected]])
         targets = np.vstack([targets, np.asarray(report.soft_labels)])
     final = fit_logistic_soft(FeatureMatrix(feats), targets, config.l2, config.epochs, config.lr, config.seed)
-    erm = fit_logistic(z_train, train.labels, 2, config.l2, config.epochs, config.lr, config.seed)
 
     os.makedirs(args.out, exist_ok=True)
     pts = np.vstack([train.features.values, test.features.values])

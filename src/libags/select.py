@@ -8,9 +8,10 @@ selection grows (F by submodularity, the region term by construction),
 which is what makes lazy evaluation with stale heap bounds exact.
 
 Selection stops when the best remaining combined gain drops below the
-threshold ``eta`` (typically the knee of a pilot run's gain curve, see
-``select_eta``) or stops being strictly positive, so the selected count
-is learned from the pool rather than fixed up front.
+threshold ``eta`` or stops being strictly positive. By default ``eta``
+is learned in the same greedy pass as the knee of its own gain curve
+(see ``select_eta``), so the selected count is learned from the pool
+rather than fixed up front.
 """
 
 from __future__ import annotations
@@ -156,26 +157,12 @@ def select_eta(sorted_gains_desc) -> float:
     return float(positive[elbow])
 
 
-def _facility_gain(sim_col, cover, values) -> float:
+def _facility_gain(sim_row, cover, values) -> float:
     """Marginal coverage gain of one candidate given the current cover."""
-    return float(np.sum(values * np.maximum(sim_col - cover, 0.0)))
+    return float(np.sum(values * np.maximum(sim_row - cover, 0.0)))
 
 
-def initial_combined_gains(values, kernel: KernelSpec, features: FeatureMatrix, regions: RegionTable, similarity=None) -> np.ndarray:
-    """Per-candidate combined gain at the empty selection, used to pick eta."""
-    values = np.asarray(values, dtype=np.float64)
-    S = similarity_matrix(kernel, features) if similarity is None else similarity
-    cover = np.zeros(values.size)
-    gains = np.empty(values.size)
-    for j in range(values.size):
-        region = regions.assignment[j]
-        gains[j] = _facility_gain(S[:, j], cover, values) + marginal_gain(
-            regions.r_region[region], regions.c[region], 0
-        )
-    return gains
-
-
-def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: RegionTable, eta: float, max_budget=None, similarity=None) -> SelectionState:
+def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: RegionTable, eta: float | None = None, max_budget=None, similarity=None) -> SelectionState:
     """Lazy greedy maximization of coverage value plus region gains.
 
     Accepts the candidate with the largest combined gain while that gain
@@ -184,6 +171,18 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
     stale heap entry is an upper bound on the current gain. The result
     (sequence and logged gains) is identical to re-scoring every
     candidate at every step.
+
+    ``eta=None`` learns the threshold in the same pass: the result is
+    what an unthresholded pilot run followed by ``select_eta`` on its
+    gain curve and a rerun at that ``eta`` would return. Greedy gains
+    never increase, so the pilot stops where ``select_eta`` stops
+    looking (at a gain within ETA_DYNAMIC_RANGE of the first), and the
+    rerun is the prefix of the pilot at or above ``eta``. When the knee
+    search finds no interior, ``eta`` is 0 and the pass goes on to
+    accept every positive gain.
+
+    ``similarity`` must be symmetric (as ``similarity_matrix`` builds
+    it): the selector reads candidate j's similarities from row j.
     """
     values = np.asarray(values, dtype=np.float64)
     M = values.size
@@ -197,11 +196,10 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
     t = np.zeros(regions.n_regions, dtype=np.int64)
     gains_log: list = []
     selected: list = []
-    stop_reason = "exhausted"
 
     def combined_gain(j):
         region = regions.assignment[j]
-        facility = _facility_gain(S[:, j], cover, values)
+        facility = _facility_gain(S[j], cover, values)
         region_g = marginal_gain(regions.r_region[region], regions.c[region], int(t[region]))
         return facility, region_g, facility + region_g
 
@@ -212,23 +210,54 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
         heap.append((-combined, j, facility, region_g, 0))
     heapq.heapify(heap)
 
-    while heap:
-        if len(selected) >= budget:
-            stop_reason = "budget"
-            break
-        neg_gain, j, facility, region_g, stamp = heapq.heappop(heap)
-        if stamp != len(selected):
-            facility, region_g, combined = combined_gain(j)
-            heapq.heappush(heap, (-combined, j, facility, region_g, len(selected)))
-            continue
-        best = -neg_gain
-        if best < eta or best <= 0.0:
-            stop_reason = "threshold"
-            break
-        selected.append(j)
-        t[regions.assignment[j]] += 1
-        cover = np.maximum(cover, S[:, j])
-        gains_log.append(GainStep(len(selected), j, facility, region_g, best))
+    def advance(threshold, floor=None):
+        """Accept heap tops until one fails; returns why the pass stopped.
+
+        A fresh top at or below ``floor`` goes back on the heap unaccepted
+        and the pass reports "cut", so it can resume where it left off.
+        """
+        while heap:
+            if len(selected) >= budget:
+                return "budget"
+            entry = heapq.heappop(heap)
+            neg_gain, j, facility, region_g, stamp = entry
+            if stamp != len(selected):
+                facility, region_g, combined = combined_gain(j)
+                heapq.heappush(heap, (-combined, j, facility, region_g, len(selected)))
+                continue
+            best = -neg_gain
+            if best < threshold or best <= 0.0:
+                return "threshold"
+            if floor is not None and best <= floor:
+                heapq.heappush(heap, entry)
+                return "cut"
+            selected.append(j)
+            t[regions.assignment[j]] += 1
+            np.maximum(cover, S[j], out=cover)
+            gains_log.append(GainStep(len(selected), j, facility, region_g, best))
+        return "exhausted"
+
+    if eta is not None:
+        stop_reason = advance(eta)
+    else:
+        # The first accepted gain is the fresh top of the initial heap.
+        floor = -heap[0][0] * ETA_DYNAMIC_RANGE if heap else None
+        stop_reason = advance(0.0, floor)
+        eta = select_eta([g.combined_gain for g in gains_log]) if gains_log else 0.0
+        if eta == 0.0:
+            if stop_reason == "cut":  # no knee: go on accepting every positive gain
+                stop_reason = advance(0.0)
+        else:
+            keep = next((i for i, g in enumerate(gains_log) if g.combined_gain < eta), len(gains_log))
+            if keep < len(gains_log) or stop_reason == "cut":
+                # A rerun at eta stops on the first gain below it; rebuild its state.
+                stop_reason = "threshold"
+                del selected[keep:], gains_log[keep:]
+                cover[:] = 0.0
+                t[:] = 0
+                for j in selected:
+                    t[regions.assignment[j]] += 1
+                    np.maximum(cover, S[j], out=cover)
 
     objective = float(np.sum(values * cover))
     return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason)

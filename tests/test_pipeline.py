@@ -71,6 +71,31 @@ class TestRunSelection:
         b = run_selection(train, pool, config).to_json()
         assert a == b
 
+    def test_single_greedy_pass_matches_two_pass_report(self, monkeypatch):
+        import libags.pipeline as pipeline_module
+        from test_select import two_pass_selection
+
+        train, _, pool = make_two_moons(120, 0.3, 0.55, 3)
+        config = tiny_config(seed=3)
+        calls = []
+        original = pipeline_module.greedy_select
+
+        def counting(*args, **kwargs):
+            calls.append(args[4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "greedy_select", counting)
+        report = run_selection(train, pool, config)
+        assert calls == [None]
+        assert 0 < report.m_hat and report.eta > 0
+
+        def two_pass(values, kernel, features, regions, eta, max_budget=None, similarity=None):
+            assert eta is None
+            return two_pass_selection(values, kernel, features, regions, max_budget=max_budget, similarity=similarity)[0]
+
+        monkeypatch.setattr(pipeline_module, "greedy_select", two_pass)
+        assert report.to_json() == run_selection(train, pool, config).to_json()
+
     def test_dimension_mismatch(self):
         real = LabeledDataset(FeatureMatrix(np.ones((4, 2))), np.array([0, 1, 0, 1]), 2)
         pool = CandidatePool(FeatureMatrix(np.ones((3, 3))), np.array([0, 1, 0]), (), 2)

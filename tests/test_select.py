@@ -6,7 +6,7 @@ import pytest
 from libags.data import FeatureMatrix
 from libags.errors import ValidationError
 from libags.geometry import KernelSpec, similarity_matrix
-from libags.select import build_regions, greedy_select, initial_combined_gains, marginal_gain, select_eta
+from libags.select import ETA_DYNAMIC_RANGE, build_regions, greedy_select, marginal_gain, select_eta
 
 
 def naive_greedy(values, sim, regions, eta, max_budget=None):
@@ -36,6 +36,37 @@ def naive_greedy(values, sim, regions, eta, max_budget=None):
         cover = np.maximum(cover, sim[:, j])
         gains.append((combined, fac, reg))
     return selected, gains
+
+
+def two_pass_selection(values, kernel, features, regions, max_budget=None, similarity=None):
+    """Reference for learned-eta selection: exhaustive pilot, knee, thresholded rerun."""
+    pilot = greedy_select(values, kernel, features, regions, 0.0, max_budget=max_budget, similarity=similarity)
+    curve = [g.combined_gain for g in pilot.gains_log]
+    eta = select_eta(curve) if curve else 0.0
+    return greedy_select(values, kernel, features, regions, eta, max_budget=max_budget, similarity=similarity), curve
+
+
+def assert_same_state(got, want):
+    assert got.selected == want.selected
+    assert got.gains_log == want.gains_log
+    assert got.eta == want.eta
+    assert np.array_equal(got.cover, want.cover)
+    assert got.objective == want.objective
+    assert np.array_equal(got.region_counts, want.region_counts)
+    assert got.stop_reason == want.stop_reason
+
+
+def initial_combined_gains(values, kernel, features, regions, similarity=None):
+    """Per-candidate combined gain at the empty selection."""
+    values = np.asarray(values, dtype=np.float64)
+    S = similarity_matrix(kernel, features) if similarity is None else similarity
+    cover = np.zeros(values.size)
+    gains = np.empty(values.size)
+    for j in range(values.size):
+        region = regions.assignment[j]
+        facility = float(np.sum(values * np.maximum(S[:, j] - cover, 0.0)))
+        gains[j] = facility + marginal_gain(regions.r_region[region], regions.c[region], 0)
+    return gains
 
 
 def facility_value(values, sim, subset):
@@ -284,3 +315,85 @@ class TestInitialCombinedGains:
             fac = float(np.sum(values * np.maximum(sim[:, j] - 0.0, 0.0)))
             reg = regions.r_region[region] / (regions.c[region] * (regions.c[region] + 1.0))
             assert gains[j] == fac + reg
+        first = greedy_select(values, kern, feats, regions, 0.0, max_budget=1, similarity=sim).gains_log[0]
+        assert first.candidate == int(gains.argmax())
+        assert first.combined_gain == gains.max()
+
+
+def wide_range_instance(rng, max_m=60):
+    """Random instance whose gains span many decades, so the knee search's range cuts the curve."""
+    values, kern, feats, regions = random_instance(rng, max_m)
+    values = values * 10.0 ** rng.uniform(-14.0, 0.0, values.size)
+    regions.r_region[:] = regions.r_region * 10.0 ** rng.uniform(-14.0, 0.0, regions.n_regions)
+    return values, kern, feats, regions
+
+
+class TestLearnedEta:
+    """``eta=None`` (one pass) against the two-pass reference, field by field."""
+
+    def test_matches_two_pass_on_random_instances(self):
+        rng = np.random.default_rng(13)
+        paths = {"full curve": 0, "cut": 0, "truncated": 0}  # eta == 0 after a cut has its own test
+        for trial in range(160):
+            make = wide_range_instance if trial % 2 else random_instance
+            values, kern, feats, regions = make(rng)
+            sim = similarity_matrix(kern, feats)
+            budget = int(rng.integers(1, values.size + 1)) if rng.random() < 0.5 else None
+            want, curve = two_pass_selection(values, kern, feats, regions, max_budget=budget, similarity=sim)
+            got = greedy_select(values, kern, feats, regions, None, max_budget=budget, similarity=sim)
+            assert_same_state(got, want)
+            cut = bool(curve) and curve[-1] <= curve[0] * ETA_DYNAMIC_RANGE
+            paths["cut" if cut else "full curve"] += 1
+            paths["truncated"] += len(want.selected) < len(curve)
+        assert all(count > 0 for count in paths.values()), paths
+
+    def test_fewer_than_three_gains_in_range_accepts_every_positive_gain(self):
+        # two far-apart valuable candidates; every other gain sits below
+        # ETA_DYNAMIC_RANGE of the first, so the knee search sees two points
+        rng = np.random.default_rng(14)
+        pts = np.vstack([[[0.0, 0.0], [100.0, 0.0]], rng.normal(50.0, 1.0, size=(8, 2))])
+        feats = FeatureMatrix(pts)
+        values = np.append([1.0, 1.0], np.full(8, 1e-14))
+        regions = build_regions(feats, feats, np.ones(10), 3, 0)
+        regions.r_region[:] = 1e-14
+        sim = similarity_matrix(KernelSpec(1.0), feats)
+        for budget, reason in ((None, "exhausted"), (6, "budget"), (2, "budget")):
+            want, curve = two_pass_selection(values, KernelSpec(1.0), feats, regions, max_budget=budget, similarity=sim)
+            got = greedy_select(values, KernelSpec(1.0), feats, regions, None, max_budget=budget, similarity=sim)
+            assert_same_state(got, want)
+            assert got.eta == 0.0
+            assert got.stop_reason == reason
+            assert len(got.selected) == (10 if budget is None else budget)
+
+    def test_cut_right_after_a_flat_knee_stops_on_threshold(self):
+        # isolated candidates, so facility gains are exact: [5, .01, .01, .01]
+        # in range, knee at .01 keeps all four, and the cut gain is below eta
+        rng = np.random.default_rng(16)
+        far = np.array([[0.0, 0.0], [100.0, 0.0], [0.0, 100.0], [100.0, 100.0]])
+        feats = FeatureMatrix(np.vstack([far, rng.normal(50.0, 0.5, size=(6, 2))]))
+        values = np.append([5.0, 0.01, 0.01, 0.01], np.full(6, 1e-13))
+        regions = build_regions(feats, feats, np.ones(10), 2, 0)
+        regions.r_region[:] = 0.0
+        want, curve = two_pass_selection(values, KernelSpec(1.0), feats, regions)
+        got = greedy_select(values, KernelSpec(1.0), feats, regions, None)
+        assert_same_state(got, want)
+        assert got.selected == [0, 1, 2, 3] and got.eta == 0.01
+        assert got.stop_reason == "threshold"
+
+    def test_all_zero_values(self):
+        rng = np.random.default_rng(15)
+        feats = FeatureMatrix(rng.normal(size=(12, 2)))
+        regions = build_regions(feats, feats, rng.uniform(0.1, 1.0, 12), 4, 0)
+        values = np.zeros(12)
+        # region terms alone still give a curve with a knee
+        want, _ = two_pass_selection(values, KernelSpec(0.5), feats, regions)
+        got = greedy_select(values, KernelSpec(0.5), feats, regions, None)
+        assert_same_state(got, want)
+        assert got.selected
+        # with no region importance either, nothing has positive gain
+        regions.r_region[:] = 0.0
+        want, _ = two_pass_selection(values, KernelSpec(0.5), feats, regions)
+        got = greedy_select(values, KernelSpec(0.5), feats, regions, None)
+        assert_same_state(got, want)
+        assert got.selected == [] and got.eta == 0.0 and got.objective == 0.0
+        assert got.stop_reason == "threshold"
