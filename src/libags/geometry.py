@@ -1,10 +1,18 @@
-"""Neighborhood machinery: kNN queries, kNN density, support validity, kernels.
+"""Neighborhood machinery: pairwise distances, kNN queries, kNN density,
+support validity, kernels.
 
 Neighbor search is brute force over a Euclidean reference set, which is
 the right trade at the few-thousand-candidate scale this package targets
 (the full candidate-candidate similarity matrix is quadratic anyway).
-Distances for each query row are computed with the direct differences
-formula so results are reproducible bit for bit against a pairwise oracle.
+
+Every pairwise distance matrix comes from ``sq_distances``, the expansion
+||a||^2 + ||b||^2 - 2 a.b evaluated with one matrix product. The
+bandwidth heuristics and the similarity kernel use it as is. Nearest-
+neighbor answers (``knn_distances`` and the k-means assignment) must
+equal those of the direct differences formula sum((a - b)^2) bit for
+bit, so ``nearest`` screens with the expansion, bounds its rounding
+error, and recomputes with the direct formula only the pairs that the
+bound cannot settle.
 """
 
 from __future__ import annotations
@@ -18,7 +26,20 @@ from .data import FeatureMatrix
 from .errors import ValidationError
 
 SUPPORT_SIGMA_FLOOR = 1e-9
-_CHUNK_ROWS = 256
+# Elements per working block (512 KiB of float64): bounds the temporaries
+# of the blocked computations below and keeps each elementwise pass over
+# a block in cache.
+_BLOCK = 1 << 16
+# Elements per screening block in ``nearest`` (16 MiB of float64): larger
+# than _BLOCK because each block pays for some twenty numpy calls.
+_SCREEN_BLOCK = 1 << 21
+# Multiply-adds per matrix product call. OpenBLAS computes products up
+# to this size on the calling thread; handing a small product to its
+# worker threads cost up to 8 ms per call on a 2-core virtual machine,
+# more than the product itself.
+_PRODUCT = 1 << 18
+_EPS = float(np.finfo(np.float64).eps)
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -47,12 +68,119 @@ class KernelSpec:
             raise ValidationError(f"kernel bandwidth must be positive, got {self.bandwidth}")
 
 
+def sq_distances(A, B=None) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``A`` and of ``B`` (default ``A``).
+
+    Expansion form ||a||^2 + ||b||^2 - 2 a.b, one matrix product, clamped
+    at 0; the only extra memory is one block. Without ``B`` the product
+    is A @ A.T, which numpy evaluates as a symmetric rank-k update, so
+    the result is exactly symmetric.
+    """
+    B = A if B is None else B
+    sq_a = (A * A).sum(axis=1)
+    return _expansion(A, B, sq_a, sq_a if B is A else (B * B).sum(axis=1))
+
+
+def _expansion(A, B, sq_a, sq_b) -> np.ndarray:
+    """``sq_distances`` given the squared row norms of ``A`` and ``B``."""
+    if B is A:
+        d2 = A @ A.T
+    else:
+        # Products of at most _PRODUCT multiply-adds; a reference set too
+        # large for one row to fit takes the whole block in one product.
+        d2 = np.empty((A.shape[0], B.shape[0]))
+        rows = _PRODUCT // B.size or A.shape[0]
+        for start in range(0, A.shape[0], rows):
+            np.matmul(A[start:start + rows], B.T, out=d2[start:start + rows])
+    rows = max(1, _BLOCK // d2.shape[1])
+    for start in range(0, d2.shape[0], rows):
+        block = d2[start:start + rows]
+        block *= 2.0
+        np.subtract(sq_a[start:start + rows, None] + sq_b[None, :], block, out=block)
+        np.maximum(block, 0.0, out=block)
+    return d2
+
+
+def direct_sq_distances(A, B) -> np.ndarray:
+    """Row-wise squared distances sum((a - b)^2) of paired (or broadcast) rows."""
+    diff = A - B
+    diff *= diff
+    return diff.sum(axis=-1)
+
+
+def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
+    """The k nearest rows of ``B`` for each row of ``A``, by the direct formula.
+
+    Returns ``(dist2, index)``, both of shape (len(A), k): squared
+    distances from ``direct_sq_distances`` in ascending order with ties
+    toward the lower index, exactly what a stable sort of each row of
+    the full direct-formula matrix would give. With ``exclude_self``
+    ``A`` holds the rows of ``B`` in order and row i skips row i of ``B``.
+    With ``distances=False`` ``dist2`` is None, and the rows the
+    screening leaves with a single candidate (k = 1) skip the direct
+    formula.
+
+    The expansion E = ``sq_distances`` screens the pairs. Write u = eps/2,
+    s = ||a||^2 + ||b||^2, D the exact squared distance and F the direct
+    formula's value. In floating point every dot product of length d,
+    in any summation order, is off by at most gamma_d = d u / (1 - d u)
+    times the dot product of the absolute values (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, ch. 3). So ||a||^2, ||b||^2
+    and 2 a.b (|a|.|b| <= s/2) are together off by at most 2 gamma_d s,
+    and the final add and subtract add 3u s: |E - D| <= (2d + 3) u s to
+    first order. F rounds each difference, each square and the sum:
+    |F - D| <= (d + 2) u D and D <= 2s. Hence |E - F| <= (4d + 7) u s.
+    tau = 3 (d + 2) eps s = (6d + 12) u s covers that, the second-order
+    terms and the rounding of the threshold below, with s taken at the
+    largest ||b||^2 so one tau serves a whole row; an absolute term
+    covers gradual underflow. If E_k is the k-th smallest E of a row,
+    the k pairs that attain it all have F <= E_k + tau, and every pair
+    with E > E_k + 2 tau has F > E_k + tau, so the k smallest F (ties
+    included) lie among the pairs with E <= E_k + 2 tau. Only those
+    are recomputed with the direct formula. Overflow makes E or tau
+    non-finite; such pairs fail the comparison and are recomputed too.
+    """
+    n, d = A.shape
+    sq_a = (A * A).sum(axis=1)
+    sq_b = (B * B).sum(axis=1)
+    sq_b_max = float(sq_b.max())
+    dist2 = np.empty((n, k))
+    index = np.empty((n, k), dtype=np.intp)
+    rows = max(1, _SCREEN_BLOCK // B.shape[0])
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        E = _expansion(A[start:stop], B, sq_a[start:stop], sq_b)
+        local = np.arange(stop - start)
+        if exclude_self:
+            E[local, start + local] = np.inf
+        kth = E.min(axis=1) if k == 1 else np.partition(E, k - 1, axis=1)[:, k - 1]
+        tau = 3.0 * (d + 2) * (_EPS * (sq_a[start:stop] + sq_b_max) + _TINY)
+        refine = ~(E > (kth + 2.0 * tau)[:, None])
+        if exclude_self:
+            refine[local, start + local] = False
+        r, c = np.nonzero(refine)  # row-major: by row, then by column
+        counts = np.bincount(r, minlength=stop - start)
+        todo = np.arange(r.size) if distances else np.flatnonzero(counts[r] > 1)
+        f = np.zeros(r.size)
+        step = max(1, _BLOCK // d)
+        for p in range(0, todo.size, step):
+            pairs = todo[p:p + step]
+            f[pairs] = direct_sq_distances(A[start + r[pairs]], B[c[pairs]])
+        # Sort by row, then by distance; the sort is stable, so ties keep the lower column.
+        order = np.lexsort((f, r))
+        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+        dist2[start:stop] = f[pick]
+        index[start:stop] = c[pick]
+    return (dist2 if distances else None), index
+
+
 def knn_distances(index: NeighborIndex, query: FeatureMatrix, k: int, exclude_self: bool = False) -> np.ndarray:
     """k smallest reference distances per query row, ascending.
 
-    Ties are broken toward the lower reference index. With
-    ``exclude_self=True`` the query rows must be the reference rows in
-    order; each row then ignores its own reference entry.
+    The values are those of the direct formula sqrt(sum((q - r)^2)),
+    bit for bit (see ``nearest``). With ``exclude_self=True`` the query
+    rows must be the reference rows in order; each row then ignores its
+    own reference entry.
     """
     if query.n_cols != index.dim:
         raise ValidationError(f"query has {query.n_cols} columns, index has {index.dim}")
@@ -61,17 +189,8 @@ def knn_distances(index: NeighborIndex, query: FeatureMatrix, k: int, exclude_se
         raise ValidationError("exclude_self requires the query rows to be the reference rows")
     if k < 1 or k > available:
         raise ValidationError(f"k must lie in [1, {available}], got {k}")
-    ref = index.points.values
-    out = np.empty((query.n_rows, k))
-    for start in range(0, query.n_rows, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, query.n_rows)
-        diff = query.values[start:stop, None, :] - ref[None, :, :]
-        dist = np.sqrt((diff * diff).sum(axis=2))
-        if exclude_self:
-            dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        order = np.argsort(dist, axis=1, kind="stable")
-        out[start:stop] = np.take_along_axis(dist, order[:, :k], axis=1)
-    return out
+    dist2, _ = nearest(query.values, index.points.values, k, exclude_self=exclude_self)
+    return np.sqrt(dist2)
 
 
 def unit_ball_volume(dim: int) -> float:
@@ -123,55 +242,67 @@ def support_validity(index: NeighborIndex, query: FeatureMatrix, k: int, calibra
     return np.exp(-(excess**2) / (2.0 * sigma * sigma))
 
 
-def similarity(kernel: KernelSpec, u, j) -> float:
-    """Gaussian similarity between two feature rows; 1 at u == j, symmetric."""
-    u = np.asarray(u, dtype=np.float64)
-    j = np.asarray(j, dtype=np.float64)
-    if u.shape != j.shape:
-        raise ValidationError(f"rows must share a dimension, got {u.shape} vs {j.shape}")
-    diff = u - j
-    return float(np.exp(-(diff * diff).sum() / (2.0 * kernel.bandwidth**2)))
+def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None) -> np.ndarray:
+    """Full pairwise similarity matrix with exact unit diagonal.
 
-
-def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix) -> np.ndarray:
-    """Full pairwise similarity matrix with exact unit diagonal."""
-    X = features.values
-    sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    S = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
-    S = 0.5 * (S + S.T)
+    ``sq_dists`` may carry ``sq_distances(features.values)`` to share it
+    with the bandwidth heuristics; it is left unchanged.
+    """
+    d2 = sq_distances(features.values) if sq_dists is None else sq_dists
+    S = np.empty_like(d2)
+    scale = 2.0 * kernel.bandwidth**2
+    rows = max(1, _BLOCK // S.shape[1])
+    for start in range(0, S.shape[0], rows):
+        block = S[start:start + rows]
+        np.negative(d2[start:start + rows], out=block)
+        block /= scale
+        np.exp(block, out=block)
+    # S = 0.5 * (S + S.T), in place one pair of square blocks at a time.
+    step = math.isqrt(_BLOCK)
+    for a in range(0, S.shape[0], step):
+        for b in range(a, S.shape[0], step):
+            upper = S[a:a + step, b:b + step]
+            lower = S[b:b + step, a:a + step]
+            mean = 0.5 * (upper + lower.T)
+            upper[...] = mean
+            lower[...] = mean.T
     np.fill_diagonal(S, 1.0)
     return S
 
 
-def median_pairwise_distance(features: FeatureMatrix) -> float:
-    """Median heuristic bandwidth: the median off-diagonal pairwise distance."""
-    X = features.values
-    if X.shape[0] < 2:
-        return 1.0
-    sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    upper = d2[np.triu_indices(X.shape[0], k=1)]
-    return max(float(np.median(np.sqrt(upper))), SUPPORT_SIGMA_FLOOR)
+def median_pairwise_distance(features: FeatureMatrix, sq_dists=None) -> float:
+    """Median heuristic bandwidth: the median off-diagonal pairwise distance.
 
-
-def median_knn_distance(features: FeatureMatrix, k: int) -> float:
-    """Local median heuristic: the median k-th neighbor distance within a set.
-
-    This is the near-duplicate scale the diversity kernel needs; the
-    classic pairwise median sits at the dataset diameter scale instead.
-    Uses the quadratic-expansion distance matrix, which is cheaper than
-    the exact per-pair form and plenty for a bandwidth heuristic.
+    ``sq_dists`` may carry ``sq_distances(features.values)``.
     """
     X = features.values
     if X.shape[0] < 2:
         return 1.0
-    k = min(k, X.shape[0] - 1)
-    sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, np.inf)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    d2 = sq_distances(X) if sq_dists is None else sq_dists
+    upper = d2[np.triu_indices(X.shape[0], k=1)]
+    return max(float(np.median(np.sqrt(upper))), SUPPORT_SIGMA_FLOOR)
+
+
+def median_knn_distance(features: FeatureMatrix, k: int, sq_dists=None) -> float:
+    """Local median heuristic: the median k-th neighbor distance within a set.
+
+    This is the near-duplicate scale the diversity kernel needs; the
+    classic pairwise median sits at the dataset diameter scale instead.
+    Uses the expansion distances of ``sq_distances``, which are plenty
+    for a bandwidth heuristic; ``sq_dists`` may carry that matrix.
+    """
+    X = features.values
+    M = X.shape[0]
+    if M < 2:
+        return 1.0
+    k = min(k, M - 1)
+    d2 = sq_distances(X) if sq_dists is None else sq_dists
+    kth = np.empty(M)
+    rows = max(1, _BLOCK // M)
+    for start in range(0, M, rows):
+        block = d2[start:start + rows].copy()
+        local = np.arange(block.shape[0])
+        block[local, start + local] = np.inf
+        block.partition(k - 1, axis=1)
+        kth[start:start + rows] = block[:, k - 1]
     return max(float(np.median(np.sqrt(kth))), SUPPORT_SIGMA_FLOOR)

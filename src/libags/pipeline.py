@@ -18,6 +18,7 @@ benchmark does.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 
@@ -26,13 +27,21 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, NeighborIndex, knn_density, knn_distances, median_knn_distance, median_pairwise_distance, similarity_matrix, support_validity
+from .geometry import KernelSpec, NeighborIndex, knn_density, knn_distances, median_knn_distance, median_pairwise_distance, similarity_matrix, sq_distances, support_validity
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
 from .select import build_regions, greedy_select
 
 REPORT_FORMAT = "libags-report/1"
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -51,19 +60,26 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # JSON configs reach here unchecked: true is not 1, "3" is not 3.
+        for name in ("tau_quantile", "coverage_ratio", "rff_bandwidth", "l2", "lr"):
+            if not _is_number(getattr(self, name)):
+                raise ValidationError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("knn_k", "rff_dim", "epochs", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValidationError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (0 < self.tau_quantile < 1):
             raise ValidationError(f"tau_quantile must lie in (0, 1), got {self.tau_quantile}")
         if self.knn_k < 1:
             raise ValidationError(f"knn_k must be at least 1, got {self.knn_k}")
         if self.kernel_bandwidth not in ("median", "median-knn") and not (
-            isinstance(self.kernel_bandwidth, (int, float)) and self.kernel_bandwidth > 0
+            _is_number(self.kernel_bandwidth) and self.kernel_bandwidth > 0
         ):
             raise ValidationError(
                 f"kernel_bandwidth must be 'median-knn', 'median', or a positive number, got {self.kernel_bandwidth!r}"
             )
-        if self.n_regions != "auto" and not (isinstance(self.n_regions, int) and self.n_regions >= 1):
+        if self.n_regions != "auto" and not (_is_int(self.n_regions) and self.n_regions >= 1):
             raise ValidationError(f"n_regions must be 'auto' or a positive integer, got {self.n_regions!r}")
-        if self.max_budget != "none" and not (isinstance(self.max_budget, int) and self.max_budget >= 0):
+        if self.max_budget != "none" and not (_is_int(self.max_budget) and self.max_budget >= 0):
             raise ValidationError(f"max_budget must be 'none' or a nonnegative integer, got {self.max_budget!r}")
         if self.coverage_ratio <= 0:
             raise ValidationError(f"coverage_ratio must be positive, got {self.coverage_ratio}")
@@ -71,6 +87,8 @@ class PipelineConfig:
             raise ValidationError(f"rff_dim must be a positive even number, got {self.rff_dim}")
         if self.rff_bandwidth <= 0 or self.lr <= 0 or self.epochs < 1 or self.l2 < 0:
             raise ValidationError("rff_bandwidth and lr must be positive, epochs >= 1, l2 >= 0")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PipelineConfig":
@@ -228,16 +246,17 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     timings["regions"] = clock() - t0
 
     t0 = clock()
+    pool_sq = sq_distances(candidates.features.values)  # shared by the bandwidth and the kernel
     if config.kernel_bandwidth == "median-knn":
         # Near-duplicate scale: the typical k-th neighbor distance within
         # the pool. The dataset-scale pairwise median makes every pair
         # look similar, which saturates the coverage objective in one pick.
-        kernel = KernelSpec(median_knn_distance(candidates.features, config.knn_k))
+        kernel = KernelSpec(median_knn_distance(candidates.features, config.knn_k, sq_dists=pool_sq))
     elif config.kernel_bandwidth == "median":
-        kernel = KernelSpec(median_pairwise_distance(candidates.features))
+        kernel = KernelSpec(median_pairwise_distance(candidates.features, sq_dists=pool_sq))
     else:
         kernel = KernelSpec(float(config.kernel_bandwidth))
-    sim = similarity_matrix(kernel, candidates.features)
+    sim = similarity_matrix(kernel, candidates.features, sq_dists=pool_sq)
     timings["similarity"] = clock() - t0
 
     # One greedy pass learns eta as the flattening point of its own

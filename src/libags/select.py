@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .errors import ValidationError
-from .geometry import KernelSpec, similarity_matrix
+from .geometry import KernelSpec, direct_sq_distances, nearest, similarity_matrix
 
 
 @dataclass
@@ -64,18 +64,18 @@ class SelectionState:
 def _kmeans_pp_init(X, k, rng):
     centroids = np.empty((k, X.shape[1]))
     centroids[0] = X[rng.integers(X.shape[0])]
-    d2 = ((X - centroids[0]) ** 2).sum(axis=1)
+    d2 = direct_sq_distances(X, centroids[0])
     for i in range(1, k):
         total = d2.sum()
         probs = d2 / total if total > 0 else None
         centroids[i] = X[rng.choice(X.shape[0], p=probs)]
-        d2 = np.minimum(d2, ((X - centroids[i]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, direct_sq_distances(X, centroids[i]))
     return centroids
 
 
 def _assign(X, centroids):
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+    """Nearest centroid per row by the direct formula, ties to the lower index."""
+    return nearest(X, centroids, 1, distances=False)[1][:, 0]
 
 
 def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatrix, r, n_regions: int, seed: int) -> RegionTable:

@@ -100,6 +100,47 @@ class TestSelectCommand:
         assert code == 1
 
 
+BAD_CONFIGS = [
+    '{"knn_k": "3"}',
+    '{"knn_k": true}',
+    '{"knn_k": 2.5}',
+    '{"n_regions": true}',
+    '{"n_regions": 4.0}',
+    '{"max_budget": false}',
+    '{"max_budget": null}',
+    '{"epochs": null}',
+    '{"epochs": 100.0}',
+    '{"seed": 1.5}',
+    '{"seed": -1}',
+    '{"seed": "7"}',
+    '{"tau_quantile": "0.1"}',
+    '{"lr": null}',
+    '{"l2": false}',
+    '{"coverage_ratio": true}',
+    '{"coverage_ratio": NaN}',
+    '{"rff_bandwidth": Infinity}',
+    '{"rff_dim": [16]}',
+    '{"kernel_bandwidth": true}',
+    '{"kernel_bandwidth": null}',
+    '{"kernel_bandwidth": "wide"}',
+    '{"bogus": 1}',
+    '[1, 2]',
+    '{"epochs": ',
+]
+
+
+@pytest.mark.parametrize("text", BAD_CONFIGS)
+def test_bad_config_exits_one_with_one_error_line(text, moon_files, tmp_path, capsys):
+    real, cands = moon_files
+    config = tmp_path / "bad.json"
+    config.write_text(text)
+    code = main(["select", "--real", str(real), "--candidates", str(cands), "--out", str(tmp_path / "r.json"), "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 class TestScoreCommand:
     def test_emits_per_candidate_csv(self, moon_files, fast_config, tmp_path):
         real, cands = moon_files

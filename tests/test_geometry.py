@@ -12,11 +12,79 @@ from libags.geometry import (
     knn_distances,
     median_knn_distance,
     median_pairwise_distance,
-    similarity,
+    nearest,
     similarity_matrix,
+    sq_distances,
     support_validity,
     unit_ball_volume,
 )
+
+
+def similarity(kernel, u, j):
+    """Gaussian similarity between two feature rows; 1 at u == j, symmetric."""
+    u = np.asarray(u, dtype=np.float64)
+    j = np.asarray(j, dtype=np.float64)
+    if u.shape != j.shape:
+        raise ValidationError(f"rows must share a dimension, got {u.shape} vs {j.shape}")
+    diff = u - j
+    return float(np.exp(-(diff * diff).sum() / (2.0 * kernel.bandwidth**2)))
+
+
+def direct_knn_distances(reference, query, k, exclude_self=False):
+    """Direct-formula oracle: every pair by sqrt(sum((q - r)^2)), stable sort per row."""
+    out = np.empty((len(query), k))
+    for start in range(0, len(query), 256):
+        stop = min(start + 256, len(query))
+        diff = query[start:stop, None, :] - reference[None, :, :]
+        dist = np.sqrt((diff * diff).sum(axis=2))
+        if exclude_self:
+            dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        order = np.argsort(dist, axis=1, kind="stable")
+        out[start:stop] = np.take_along_axis(dist, order[:, :k], axis=1)
+    return out
+
+
+def expansion_similarity_matrix(kernel, features, sq_dists=None):
+    """Expression-order oracle for similarity_matrix: full temporaries, no blocks."""
+    X = features.values
+    sq = (X * X).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    S = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
+    S = 0.5 * (S + S.T)
+    np.fill_diagonal(S, 1.0)
+    return S
+
+
+def expansion_median_knn_distance(features, k, sq_dists=None):
+    """Expression-order oracle for median_knn_distance: one full partition."""
+    X = features.values
+    if X.shape[0] < 2:
+        return 1.0
+    k = min(k, X.shape[0] - 1)
+    sq = (X * X).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, np.inf)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
+    return max(float(np.median(np.sqrt(kth))), 1e-9)
+
+
+def adversarial_sets(rng, d):
+    """(reference, query) pairs that stress the expansion's rounding bound."""
+    ref = rng.normal(size=(70, d))
+    query = rng.normal(size=(40, d))
+    grid_ref = rng.integers(-2, 3, size=(70, d)).astype(np.float64)
+    grid_query = rng.integers(-2, 3, size=(40, d)).astype(np.float64)
+    duplicated = np.vstack([ref[:35], ref[:35]])
+    return [
+        ("random", ref, query),
+        ("offset 1e4", ref + 1e4, query + 1e4),  # cancellation widens tau
+        ("duplicated rows", duplicated, np.vstack([duplicated[:20], query[:20]])),
+        ("integer grid", grid_ref, grid_query),  # exact distance ties
+        ("tiny scale", ref * 1e-160, query * 1e-160),  # products underflow
+        ("huge scale", ref * 1e160, query * 1e160),  # squares overflow to inf
+    ]
 
 
 def brute_force_knn(reference, query, k, exclude_self=False):
@@ -64,6 +132,40 @@ class TestKnnDistances:
         query = FeatureMatrix(np.array([[0.0, 0.0]]))
         dists = knn_distances(NeighborIndex(ref), query, 2)
         np.testing.assert_allclose(dists[0], [1.0, 1.0], atol=0)
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_bit_identical_to_direct_formula(self, d):
+        rng = np.random.default_rng(d)
+        for name, ref, query in adversarial_sets(rng, d):
+            index = NeighborIndex(FeatureMatrix(ref))
+            n = len(ref)
+            for k in (1, 3, n):
+                got = knn_distances(index, FeatureMatrix(query), k)
+                assert np.array_equal(got, direct_knn_distances(ref, query, k)), (name, k)
+            for k in (1, 3, n - 1):
+                got = knn_distances(index, FeatureMatrix(ref), k, exclude_self=True)
+                assert np.array_equal(got, direct_knn_distances(ref, ref, k, exclude_self=True)), (name, k)
+
+    def test_bit_identical_across_blocks(self):
+        # more query rows than one screening block holds, and more
+        # candidate pairs than one refinement chunk
+        rng = np.random.default_rng(11)
+        ref = np.round(rng.normal(size=(1200, 3)), 1)
+        query = np.round(rng.normal(size=(1900, 3)), 1)
+        got = knn_distances(NeighborIndex(FeatureMatrix(ref)), FeatureMatrix(query), 20)
+        assert np.array_equal(got, direct_knn_distances(ref, query, 20))
+        pts = np.vstack([ref, query[:300]])
+        got = knn_distances(NeighborIndex(FeatureMatrix(pts)), FeatureMatrix(pts), 7, exclude_self=True)
+        assert np.array_equal(got, direct_knn_distances(pts, pts, 7, exclude_self=True))
+
+    def test_index_only_gives_the_same_neighbors(self):
+        rng = np.random.default_rng(14)
+        for name, ref, query in adversarial_sets(rng, 3)[:4]:
+            for k in (1, 3):
+                dist2, want = nearest(query, ref, k)
+                none, got = nearest(query, ref, k, distances=False)
+                assert none is None and np.array_equal(got, want), (name, k)
 
     def test_k_too_large(self):
         pts = FeatureMatrix(np.ones((3, 2)))
@@ -176,6 +278,26 @@ class TestSimilarity:
             u, j = rng.normal(size=(2, 4))
             assert similarity(kern, u, j) == similarity(kern, j, u)
 
+    def test_matrix_matches_scalar_kernel(self):
+        rng = np.random.default_rng(9)
+        feats = FeatureMatrix(rng.normal(size=(25, 3)))
+        kern = KernelSpec(0.9)
+        S = similarity_matrix(kern, feats)
+        want = np.array([[similarity(kern, u, j) for j in feats.values] for u in feats.values])
+        np.testing.assert_allclose(S, want, rtol=0, atol=1e-12)
+
+    def test_matrix_bit_identical_to_expression_order(self):
+        rng = np.random.default_rng(10)
+        for M, d in ((1, 2), (7, 1), (1100, 4), (300, 64)):
+            feats = FeatureMatrix(rng.normal(size=(M, d)) + (1e4 if d == 4 else 0.0))
+            kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
+            want = expansion_similarity_matrix(kern, feats)
+            shared = sq_distances(feats.values)
+            kept = shared.copy()
+            assert np.array_equal(similarity_matrix(kern, feats), want)
+            assert np.array_equal(similarity_matrix(kern, feats, sq_dists=shared), want)
+            assert np.array_equal(shared, kept)
+
     def test_matrix_diagonal_and_range(self):
         rng = np.random.default_rng(6)
         feats = FeatureMatrix(rng.normal(size=(30, 3)))
@@ -200,3 +322,22 @@ class TestBandwidthHeuristics:
         blobs = np.vstack([rng.normal(0, 0.05, size=(50, 2)), rng.normal(10, 0.05, size=(50, 2))])
         feats = FeatureMatrix(blobs)
         assert median_knn_distance(feats, 5) < 0.1 * median_pairwise_distance(feats)
+
+    def test_shared_matrix_gives_the_same_bandwidths(self):
+        rng = np.random.default_rng(12)
+        for M in (2, 3, 40, 1500):
+            feats = FeatureMatrix(rng.normal(size=(M, 3)))
+            shared = sq_distances(feats.values)
+            for k in (1, 5, M):
+                want = expansion_median_knn_distance(feats, k)
+                assert median_knn_distance(feats, k) == want
+                assert median_knn_distance(feats, k, sq_dists=shared) == want
+            assert median_pairwise_distance(feats, sq_dists=shared) == median_pairwise_distance(feats)
+
+    def test_sq_distances_exactly_symmetric_and_clamped(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(50, 5)) + 1e3
+        d2 = sq_distances(X)
+        assert np.array_equal(d2, d2.T)
+        assert np.all(d2 >= 0)
+        np.testing.assert_allclose(sq_distances(X[:7], X), d2[:7], rtol=0, atol=1e-6)

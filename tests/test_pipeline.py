@@ -96,6 +96,35 @@ class TestRunSelection:
         monkeypatch.setattr(pipeline_module, "greedy_select", two_pass)
         assert report.to_json() == run_selection(train, pool, config).to_json()
 
+    @pytest.mark.parametrize("case", ["two-moons", "gaussian-d64"])
+    def test_certified_distances_match_direct_formula_report(self, case, monkeypatch):
+        import libags.pipeline as pipeline_module
+        import libags.select as select_module
+        from test_geometry import direct_knn_distances, expansion_median_knn_distance, expansion_similarity_matrix
+        from test_select import direct_assign, direct_rows_sq
+
+        if case == "two-moons":
+            real, _, pool = make_two_moons(120, 0.3, 0.55, 3)
+            config, external = tiny_config(seed=3), None
+        else:
+            rng = np.random.default_rng(4)
+            real = LabeledDataset(FeatureMatrix(rng.normal(size=(80, 64))), rng.integers(0, 2, 80), 2)
+            pool = CandidatePool(FeatureMatrix(rng.normal(size=(500, 64))), rng.integers(0, 2, 500), (), 2)
+            config = tiny_config(max_budget=60)
+            external = (rng.dirichlet(np.ones(2), 80), rng.dirichlet(np.ones(2), 500))
+        report = run_selection(real, pool, config, external_proba=external)
+        assert report.m_hat > 0
+
+        def oracle_knn(index, query, k, exclude_self=False):
+            return direct_knn_distances(index.points.values, query.values, k, exclude_self)
+
+        monkeypatch.setattr(pipeline_module, "knn_distances", oracle_knn)
+        monkeypatch.setattr(pipeline_module, "median_knn_distance", expansion_median_knn_distance)
+        monkeypatch.setattr(pipeline_module, "similarity_matrix", expansion_similarity_matrix)
+        monkeypatch.setattr(select_module, "_assign", direct_assign)
+        monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
+        assert report.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
+
     def test_dimension_mismatch(self):
         real = LabeledDataset(FeatureMatrix(np.ones((4, 2))), np.array([0, 1, 0, 1]), 2)
         pool = CandidatePool(FeatureMatrix(np.ones((3, 3))), np.array([0, 1, 0]), (), 2)

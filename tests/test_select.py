@@ -6,7 +6,7 @@ import pytest
 from libags.data import FeatureMatrix
 from libags.errors import ValidationError
 from libags.geometry import KernelSpec, similarity_matrix
-from libags.select import ETA_DYNAMIC_RANGE, build_regions, greedy_select, marginal_gain, select_eta
+from libags.select import ETA_DYNAMIC_RANGE, _assign, build_regions, greedy_select, marginal_gain, select_eta
 
 
 def naive_greedy(values, sim, regions, eta, max_budget=None):
@@ -87,7 +87,60 @@ def random_instance(rng, max_m=60):
     return values, kern, feats, regions
 
 
+def direct_assign(X, centroids):
+    """Direct-formula oracle: full (rows, centroids, d) differences, first argmin."""
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
+
+
+def direct_rows_sq(A, b):
+    """Direct-formula oracle for the k-means++ seeding distances."""
+    return ((A - b) ** 2).sum(axis=1)
+
+
+def assignment_cases(rng, d):
+    """(rows, centroids) pairs that stress the expansion's rounding bound."""
+    X = rng.normal(size=(300, d))
+    grid = rng.integers(-2, 3, size=(300, d)).astype(np.float64)
+    C = X[rng.choice(300, 12, replace=False)].copy()
+    coincident = C.copy()
+    coincident[5] = coincident[2]
+    coincident[9] = coincident[2]
+    return [
+        ("random", X, C),
+        ("offset 1e4", X + 1e4, C + 1e4),
+        ("duplicated rows", np.vstack([X[:150], X[:150]]), C),
+        ("integer grid", grid, np.unique(grid, axis=0)[:12]),  # exact ties
+        ("coincident centroids", X, coincident),
+        ("centroids on rows", C, C),
+    ]
+
+
 class TestBuildRegions:
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_assignment_bit_identical_to_direct_formula(self, d):
+        rng = np.random.default_rng(d)
+        for name, X, C in assignment_cases(rng, d):
+            assert np.array_equal(_assign(X, C), direct_assign(X, C)), name
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_regions_bit_identical_to_direct_formula(self, d, monkeypatch):
+        import libags.select as select_module
+
+        rng = np.random.default_rng(100 + d)
+        cases = [(rng.normal(size=(40, d)), rng.normal(size=(400, d)), 16)]
+        cases.append((cases[0][0] + 1e4, cases[0][1] + 1e4, 16))
+        grid = rng.integers(-1, 2, size=(200, d)).astype(np.float64)
+        cases.append((grid[:30], grid, 9))
+        cases.append((cases[0][0], np.vstack([cases[0][1][:100]] * 3), 20))
+        got = [build_regions(FeatureMatrix(R), FeatureMatrix(X), np.arange(len(X)) % 7 / 7.0, K, 5) for R, X, K in cases]
+        monkeypatch.setattr(select_module, "_assign", direct_assign)
+        monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
+        for table, (R, X, K) in zip(got, cases):
+            want = build_regions(FeatureMatrix(R), FeatureMatrix(X), np.arange(len(X)) % 7 / 7.0, K, 5)
+            for name in ("assignment", "c", "t", "r_region", "centroids"):
+                assert np.array_equal(getattr(table, name), getattr(want, name)), name
+
     def test_single_region_counts_all_reals(self):
         rng = np.random.default_rng(0)
         real = FeatureMatrix(rng.normal(size=(17, 2)))
