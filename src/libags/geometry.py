@@ -17,8 +17,12 @@ bound cannot settle.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
+import threading
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -33,13 +37,59 @@ _BLOCK = 1 << 16
 # Elements per screening block in ``nearest`` (16 MiB of float64): larger
 # than _BLOCK because each block pays for some twenty numpy calls.
 _SCREEN_BLOCK = 1 << 21
-# Multiply-adds per matrix product call. OpenBLAS computes products up
-# to this size on the calling thread; handing a small product to its
-# worker threads cost up to 8 ms per call on a 2-core virtual machine,
-# more than the product itself.
-_PRODUCT = 1 << 18
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
+
+
+def _openblas_thread_count():
+    """Getter and setter of the thread count of the OpenBLAS numpy loaded, or None."""
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.restype = ctypes.c_int
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+_BLAS_THREADS = _openblas_thread_count()
+_blas_lock = threading.Lock()
+_blas_users = 0
+_blas_saved = 1
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the enclosed matrix products on the calling thread.
+
+    OpenBLAS keeps its worker threads spinning for about 0.1 s after each
+    product it hands them. On a 2-core virtual machine that halved the
+    speed of the elementwise work that followed, and a selection over
+    2000 candidates took 1.7 times as long as with one thread. One
+    thread also keeps the bits independent of the host: OpenBLAS's
+    threaded rank-k update rounds some shapes differently. The previous
+    thread count is restored when the last concurrent user leaves.
+    """
+    global _blas_users, _blas_saved
+    if _BLAS_THREADS is None:
+        yield
+        return
+    get, put = _BLAS_THREADS
+    with _blas_lock:
+        if _blas_users == 0:
+            _blas_saved = get()
+            put(1)
+        _blas_users += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_users -= 1
+            if _blas_users == 0:
+                put(_blas_saved)
 
 
 @dataclass(frozen=True)
@@ -71,10 +121,10 @@ class KernelSpec:
 def sq_distances(A, B=None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``A`` and of ``B`` (default ``A``).
 
-    Expansion form ||a||^2 + ||b||^2 - 2 a.b, one matrix product, clamped
-    at 0; the only extra memory is one block. Without ``B`` the product
-    is A @ A.T, which numpy evaluates as a symmetric rank-k update, so
-    the result is exactly symmetric.
+    Expansion form ||a||^2 + ||b||^2 - 2 a.b, one matrix product on one
+    BLAS thread, clamped at 0; the only extra memory is one block.
+    Without ``B`` the product is A @ A.T, which numpy evaluates as a
+    symmetric rank-k update, so the result is exactly symmetric.
     """
     B = A if B is None else B
     sq_a = (A * A).sum(axis=1)
@@ -83,15 +133,8 @@ def sq_distances(A, B=None) -> np.ndarray:
 
 def _expansion(A, B, sq_a, sq_b) -> np.ndarray:
     """``sq_distances`` given the squared row norms of ``A`` and ``B``."""
-    if B is A:
-        d2 = A @ A.T
-    else:
-        # Products of at most _PRODUCT multiply-adds; a reference set too
-        # large for one row to fit takes the whole block in one product.
-        d2 = np.empty((A.shape[0], B.shape[0]))
-        rows = _PRODUCT // B.size or A.shape[0]
-        for start in range(0, A.shape[0], rows):
-            np.matmul(A[start:start + rows], B.T, out=d2[start:start + rows])
+    with _one_blas_thread():
+        d2 = A @ B.T
     rows = max(1, _BLOCK // d2.shape[1])
     for start in range(0, d2.shape[0], rows):
         block = d2[start:start + rows]
@@ -257,15 +300,6 @@ def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None
         np.negative(d2[start:start + rows], out=block)
         block /= scale
         np.exp(block, out=block)
-    # S = 0.5 * (S + S.T), in place one pair of square blocks at a time.
-    step = math.isqrt(_BLOCK)
-    for a in range(0, S.shape[0], step):
-        for b in range(a, S.shape[0], step):
-            upper = S[a:a + step, b:b + step]
-            lower = S[b:b + step, a:a + step]
-            mean = 0.5 * (upper + lower.T)
-            upper[...] = mean
-            lower[...] = mean.T
     np.fill_diagonal(S, 1.0)
     return S
 

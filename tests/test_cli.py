@@ -119,6 +119,8 @@ BAD_CONFIGS = [
     '{"coverage_ratio": true}',
     '{"coverage_ratio": NaN}',
     '{"rff_bandwidth": Infinity}',
+    '{"lr": 1' + '0' * 400 + '}',
+    '{"kernel_bandwidth": 1' + '0' * 400 + '}',
     '{"rff_dim": [16]}',
     '{"kernel_bandwidth": true}',
     '{"kernel_bandwidth": null}',

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from libags.data import FeatureMatrix
 from libags.errors import ValidationError
+from libags import geometry
 from libags.geometry import (
     KernelSpec,
     NeighborIndex,
@@ -44,11 +47,18 @@ def direct_knn_distances(reference, query, k, exclude_self=False):
     return out
 
 
+def gram(X):
+    """X @ X.T on one BLAS thread, as geometry computes it: OpenBLAS's
+    threaded rank-k update rounds some shapes differently."""
+    with geometry._one_blas_thread():
+        return X @ X.T
+
+
 def expansion_similarity_matrix(kernel, features, sq_dists=None):
     """Expression-order oracle for similarity_matrix: full temporaries, no blocks."""
     X = features.values
     sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram(X)
     np.maximum(d2, 0.0, out=d2)
     S = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
     S = 0.5 * (S + S.T)
@@ -63,7 +73,7 @@ def expansion_median_knn_distance(features, k, sq_dists=None):
         return 1.0
     k = min(k, X.shape[0] - 1)
     sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram(X)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
@@ -294,7 +304,9 @@ class TestSimilarity:
             want = expansion_similarity_matrix(kern, feats)
             shared = sq_distances(feats.values)
             kept = shared.copy()
-            assert np.array_equal(similarity_matrix(kern, feats), want)
+            S = similarity_matrix(kern, feats)
+            assert np.array_equal(S, want)
+            assert np.array_equal(S, S.T)
             assert np.array_equal(similarity_matrix(kern, feats, sq_dists=shared), want)
             assert np.array_equal(shared, kept)
 
@@ -333,6 +345,51 @@ class TestBandwidthHeuristics:
                 assert median_knn_distance(feats, k) == want
                 assert median_knn_distance(feats, k, sq_dists=shared) == want
             assert median_pairwise_distance(feats, sq_dists=shared) == median_pairwise_distance(feats)
+
+    def test_products_restore_the_blas_thread_count(self):
+        if geometry._BLAS_THREADS is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found")
+        get, _ = geometry._BLAS_THREADS
+        before = get()
+        with geometry._one_blas_thread():
+            with geometry._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == before
+        sq_distances(np.ones((3, 2)))
+        assert get() == before
+
+    def test_concurrent_products_restore_the_blas_thread_count(self):
+        if geometry._BLAS_THREADS is None:
+            pytest.skip("numpy's OpenBLAS thread setter not found")
+        get, _ = geometry._BLAS_THREADS
+        before = get()
+        X = np.random.default_rng(0).normal(size=(40, 3))
+        errors = []
+
+        def work():
+            try:
+                for _ in range(200):
+                    with geometry._one_blas_thread():
+                        assert get() == 1
+                        sq_distances(X)
+            except BaseException as exc:
+                errors.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert get() == before
 
     def test_sq_distances_exactly_symmetric_and_clamped(self):
         rng = np.random.default_rng(13)
