@@ -1,6 +1,6 @@
 """Boundary-gap scoring, allocation, and selection of synthetic candidates."""
 
-from .alloc import AllocationSolution, continuous_allocation_oracle, gap_score, solve_lambda
+from .alloc import AllocationSolution, solve_lambda
 from .bench import BenchResult, auroc, export_boundary_grid, run_bench
 from .data import (
     CandidatePool,
@@ -16,7 +16,6 @@ from .errors import (
     DivergenceError,
     LibagsError,
     NoPositiveImportance,
-    OracleConvergenceError,
     ParseError,
     SchemaError,
     ValidationError,
@@ -32,10 +31,10 @@ from .geometry import (
     support_validity,
     unit_ball_volume,
 )
-from .label import soft_label, soft_label_bound_check
+from .label import soft_label
 from .model import LogisticModel, RffEncoder, fit_logistic, fit_logistic_soft, load_model, one_hot, predict_proba, rff_encode, save_model
 from .pipeline import PipelineConfig, SelectionReport, run_selection, train_final
-from .score import ScoreRecord, boundary_weight, entropy, entropy_rows, importance, select_tau, top_two_margin, top_two_margin_rows
+from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
 from .select import GainStep, RegionTable, SelectionState, build_regions, greedy_select, marginal_gain, select_eta
 
 __version__ = "0.1.0"
@@ -53,7 +52,6 @@ __all__ = [
     "LogisticModel",
     "NeighborIndex",
     "NoPositiveImportance",
-    "OracleConvergenceError",
     "ParseError",
     "PipelineConfig",
     "RegionTable",
@@ -66,13 +64,10 @@ __all__ = [
     "auroc",
     "boundary_weight",
     "build_regions",
-    "continuous_allocation_oracle",
-    "entropy",
     "entropy_rows",
     "export_boundary_grid",
     "fit_logistic",
     "fit_logistic_soft",
-    "gap_score",
     "greedy_select",
     "importance",
     "knn_density",
@@ -94,10 +89,8 @@ __all__ = [
     "select_tau",
     "similarity_matrix",
     "soft_label",
-    "soft_label_bound_check",
     "solve_lambda",
     "support_validity",
-    "top_two_margin",
     "top_two_margin_rows",
     "train_final",
     "unit_ball_volume",

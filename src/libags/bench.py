@@ -1,10 +1,11 @@
 """Desk-scale benchmark harness on the gapped two-moons task.
 
-One seed, one shared world: the data, the random-feature encoder, the
-scoring model, and the test set are generated once per seed and reused
-by every method. The adaptive selector runs first so its learned count
-can be handed to each fixed-count baseline, which keeps the comparison
-about *which* candidates were chosen rather than how many.
+One seed, one shared world: ``moons_world`` generates the data, the
+random-feature encoder, the scoring model, and the test set once per
+seed, every method reuses them, and the two-moons demo draws its seed's
+world from the same function. The adaptive selector runs first so its
+learned count can be handed to each fixed-count baseline, which keeps
+the comparison about *which* candidates were chosen rather than how many.
 
 Scoring happens on encoded features while the selector's geometry runs
 in the raw 2-D input space (probabilities injected via the pipeline's
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import FeatureMatrix, make_two_moons
+from .data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons
 from .errors import ValidationError
-from .model import LogisticModel, RffEncoder, fit_logistic_soft, one_hot, predict_proba, rff_encode
-from .pipeline import PipelineConfig, run_selection
+from .model import LogisticModel, RffEncoder, one_hot, predict_proba, rff_encode
+from .pipeline import PipelineConfig, SelectionReport, fit_with_extra, run_selection
 from .score import entropy_rows
 
 METHODS = ("erm", "random", "noise", "uncertainty_only", "libags")
@@ -92,13 +93,38 @@ def _evaluate(model: LogisticModel, test_encoded: FeatureMatrix, test_labels) ->
     return accuracy, auroc(proba[:, 1], test_labels)
 
 
-def _fit_with_extra(z_train, train_labels, extra_features, extra_targets, config):
-    targets = one_hot(train_labels, 2)
-    features = z_train.values
-    if len(extra_features):
-        features = np.vstack([features, extra_features])
-        targets = np.vstack([targets, extra_targets])
-    return fit_logistic_soft(FeatureMatrix(features), targets, config.l2, config.epochs, config.lr, config.seed)
+@dataclass(frozen=True)
+class MoonsWorld:
+    """One seed's two-moons task, encoded, scored and selected once."""
+
+    train: LabeledDataset
+    test: LabeledDataset
+    pool: CandidatePool
+    encoder: RffEncoder
+    z_train: LabeledDataset  # train with RFF-encoded features
+    z_pool: FeatureMatrix
+    erm: LogisticModel  # the scoring model: the plain fit on real data
+    proba_pool: np.ndarray
+    report: SelectionReport
+
+    def libags_model(self, config: PipelineConfig) -> LogisticModel:
+        """The final classifier: real data plus the selection under its soft labels."""
+        return fit_with_extra(self.z_train, self.z_pool.values[self.report.selected], self.report.soft_labels, config)
+
+
+def moons_world(seed: int, config: PipelineConfig, n_per_class: int = DEFAULT_N_PER_CLASS,
+                noise_sd: float = DEFAULT_NOISE_SD, gap_halfwidth: float = DEFAULT_GAP_HALFWIDTH) -> MoonsWorld:
+    """The world every method of one bench seed shares; the test split stays unencoded."""
+    train, test, pool = make_two_moons(n_per_class, noise_sd, gap_halfwidth, seed)
+    encoder = RffEncoder.create(2, config.rff_dim, config.rff_bandwidth, seed + _ENCODER_SEED_OFFSET)
+    z_train = LabeledDataset(rff_encode(encoder, train.features), train.labels, 2)
+    z_pool = rff_encode(encoder, pool.features)
+    erm = fit_with_extra(z_train, [], [], config)
+    proba_pool = predict_proba(erm, z_pool)
+    # Geometry in raw input space, scoring signal from the encoded model.
+    external = (predict_proba(erm, z_train.features), proba_pool)
+    report = run_selection(train, pool, config.replace(seed=seed), external_proba=external)
+    return MoonsWorld(train, test, pool, encoder, z_train, z_pool, erm, proba_pool, report)
 
 
 def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT_N_PER_CLASS,
@@ -111,45 +137,33 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
     results = {name: BenchResult(name, [], [], []) for name in methods}
 
     for seed in seeds:
-        train, test, pool = make_two_moons(n_per_class, noise_sd, gap_halfwidth, seed)
-        encoder = RffEncoder.create(2, config.rff_dim, config.rff_bandwidth, seed + _ENCODER_SEED_OFFSET)
-        z_train = rff_encode(encoder, train.features)
-        z_test = rff_encode(encoder, test.features)
-        z_pool = rff_encode(encoder, pool.features)
-
-        # The scoring model is the plain fit on real data, so it is also the erm baseline.
-        erm = _fit_with_extra(z_train, train.labels, [], [], config)
-        proba_train = predict_proba(erm, z_train)
-        proba_pool = predict_proba(erm, z_pool)
-
-        # Geometry in raw input space, scoring signal from the encoded model.
-        report = run_selection(train, pool, config.replace(seed=seed), external_proba=(proba_train, proba_pool))
-        m_hat = report.m_hat
+        world = moons_world(seed, config, n_per_class, noise_sd, gap_halfwidth)
+        train, pool, z_pool = world.train, world.pool, world.z_pool
+        z_test = rff_encode(world.encoder, world.test.features)
+        m_hat = world.report.m_hat
 
         for name in methods:
             # Per-(seed, method) stream so a method's draws do not depend
             # on which other methods were requested.
             rng = np.random.default_rng(seed + _BASELINE_SEED_OFFSET + METHODS.index(name))
             if name == "erm":
-                model = erm
+                model = world.erm
             elif name == "libags":
-                extra = z_pool.values[report.selected]
-                soft = np.asarray(report.soft_labels, dtype=np.float64).reshape(m_hat, 2)
-                model = _fit_with_extra(z_train, train.labels, extra, soft, config)
+                model = world.libags_model(config)
             elif name == "random":
                 chosen = rng.choice(pool.n_rows, size=m_hat, replace=False) if m_hat else np.empty(0, dtype=int)
-                model = _fit_with_extra(z_train, train.labels, z_pool.values[chosen], one_hot(pool.proposed_labels[chosen], 2), config)
+                model = fit_with_extra(world.z_train, z_pool.values[chosen], one_hot(pool.proposed_labels[chosen], 2), config)
             elif name == "noise":
                 rows = rng.integers(0, train.n_rows, size=m_hat)
                 scale = float(train.features.values.std(axis=0).mean())
                 jitter = rng.normal(0.0, 0.1 * scale, size=(m_hat, 2))
                 noisy = FeatureMatrix(train.features.values[rows] + jitter) if m_hat else None
-                extra = rff_encode(encoder, noisy).values if m_hat else []
-                model = _fit_with_extra(z_train, train.labels, extra, one_hot(train.labels[rows], 2), config)
+                extra = rff_encode(world.encoder, noisy).values if m_hat else []
+                model = fit_with_extra(world.z_train, extra, one_hot(train.labels[rows], 2), config)
             else:  # uncertainty_only
-                top = np.argsort(-entropy_rows(proba_pool), kind="stable")[:m_hat]
-                model = _fit_with_extra(z_train, train.labels, z_pool.values[top], one_hot(pool.proposed_labels[top], 2), config)
-            accuracy, roc = _evaluate(model, z_test, test.labels)
+                top = np.argsort(-entropy_rows(world.proba_pool), kind="stable")[:m_hat]
+                model = fit_with_extra(world.z_train, z_pool.values[top], one_hot(pool.proposed_labels[top], 2), config)
+            accuracy, roc = _evaluate(model, z_test, world.test.labels)
             results[name].accuracies.append(accuracy)
             results[name].aurocs.append(roc)
             results[name].m_hats.append(m_hat if name != "erm" else 0)

@@ -9,16 +9,15 @@ the one optional nondeterministic field and --reproducible drops them.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
-from .bench import DEFAULT_GAP_HALFWIDTH, DEFAULT_N_PER_CLASS, DEFAULT_NOISE_SD, METHODS, export_boundary_grid, format_bench_summary, run_bench, write_bench_csv
-from .data import CandidatePool, FeatureMatrix, load_candidate_csv, load_labeled_csv, make_two_moons, write_candidate_csv
+from .bench import DEFAULT_GAP_HALFWIDTH, DEFAULT_N_PER_CLASS, DEFAULT_NOISE_SD, METHODS, export_boundary_grid, format_bench_summary, moons_world, run_bench, write_bench_csv
+from .data import CandidatePool, FeatureMatrix, load_candidate_csv, load_labeled_csv, load_probability_csv, write_candidate_csv
 from .errors import LibagsError, ValidationError
-from .model import RffEncoder, fit_logistic, fit_logistic_soft, load_model, one_hot, predict_proba, rff_encode
+from .model import RffEncoder, load_model
 from .pipeline import PipelineConfig, run_selection
 from .score import ScoreRecord
 
@@ -41,27 +40,21 @@ def _load_config(path, seed) -> PipelineConfig:
     return config
 
 
-def _load_proba_csv(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if len(rows) < 2:
-        raise ValidationError(f"{path}: need a header and at least one probability row")
-    try:
-        proba = np.asarray([[float(cell) for cell in row] for row in rows[1:]])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return proba
-
-
-def _cmd_select(args) -> int:
+def _load_inputs(args):
+    """Config, real data, candidate pool and optional external probabilities of select and score."""
     config = _load_config(args.config, args.seed)
     real = load_labeled_csv(args.real, args.n_classes)
     pool = load_candidate_csv(args.candidates, args.n_classes)
-    external = None
     if (args.proba_real is None) != (args.proba_cand is None):
         raise UsageError("--proba-real and --proba-cand must be given together")
+    external = None
     if args.proba_real:
-        external = (_load_proba_csv(args.proba_real), _load_proba_csv(args.proba_cand))
+        external = (load_probability_csv(args.proba_real), load_probability_csv(args.proba_cand))
+    return config, real, pool, external
+
+
+def _cmd_select(args) -> int:
+    config, real, pool, external = _load_inputs(args)
     report = run_selection(real, pool, config, external_proba=external)
     with open(args.out, "w") as fh:
         fh.write(report.to_json(include_timings=not args.reproducible))
@@ -71,14 +64,7 @@ def _cmd_select(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    config = _load_config(args.config, args.seed)
-    real = load_labeled_csv(args.real, args.n_classes)
-    pool = load_candidate_csv(args.candidates, args.n_classes)
-    external = None
-    if (args.proba_real is None) != (args.proba_cand is None):
-        raise UsageError("--proba-real and --proba-cand must be given together")
-    if args.proba_real:
-        external = (_load_proba_csv(args.proba_real), _load_proba_csv(args.proba_cand))
+    config, real, pool, external = _load_inputs(args)
     report = run_selection(real, pool, config, external_proba=external)
     with open(args.out, "w", newline="") as fh:
         fh.write("index,source_id," + ",".join(ScoreRecord.FIELDS) + "\n")
@@ -98,6 +84,8 @@ def _cmd_bench(args) -> int:
         raise UsageError(f"--seeds must be a comma-separated integer list, got '{args.seeds}'") from None
     if not methods or not seeds:
         raise UsageError("--methods and --seeds must be nonempty")
+    if min(seeds) < 0:
+        raise UsageError(f"--seeds must be nonnegative, got {min(seeds)}")
     results = run_bench(methods, seeds, config, n_per_class=args.n_per_class, noise_sd=args.noise_sd, gap_halfwidth=args.gap)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "results.csv")
@@ -113,29 +101,16 @@ def _cmd_bench(args) -> int:
 
 def _cmd_demo(args) -> int:
     config = _load_config(args.config, args.seed)
-    seed = config.seed
-    train, test, pool = make_two_moons(DEFAULT_N_PER_CLASS, DEFAULT_NOISE_SD, DEFAULT_GAP_HALFWIDTH, seed)
-    encoder = RffEncoder.create(2, config.rff_dim, config.rff_bandwidth, seed + 1_000_003)
-    z_train = rff_encode(encoder, train.features)
-    z_pool = rff_encode(encoder, pool.features)
-
-    # The scoring model is the plain fit on real data, so it is also the ERM baseline.
-    erm = fit_logistic(z_train, train.labels, 2, config.l2, config.epochs, config.lr, config.seed)
-    report = run_selection(train, pool, config, external_proba=(predict_proba(erm, z_train), predict_proba(erm, z_pool)))
-
-    targets = one_hot(train.labels, 2)
-    feats = z_train.values
-    if report.selected:
-        feats = np.vstack([feats, z_pool.values[report.selected]])
-        targets = np.vstack([targets, np.asarray(report.soft_labels)])
-    final = fit_logistic_soft(FeatureMatrix(feats), targets, config.l2, config.epochs, config.lr, config.seed)
+    world = moons_world(config.seed, config)
+    train, test, pool, report = world.train, world.test, world.pool, world.report
+    final = world.libags_model(config)
 
     os.makedirs(args.out, exist_ok=True)
     pts = np.vstack([train.features.values, test.features.values])
     margin = 0.3
     bounds = (pts[:, 0].min() - margin, pts[:, 0].max() + margin, pts[:, 1].min() - margin, pts[:, 1].max() + margin)
-    export_boundary_grid(erm, encoder, bounds, args.resolution, os.path.join(args.out, "erm_grid.csv"))
-    export_boundary_grid(final, encoder, bounds, args.resolution, os.path.join(args.out, "libags_grid.csv"))
+    export_boundary_grid(world.erm, world.encoder, bounds, args.resolution, os.path.join(args.out, "erm_grid.csv"))
+    export_boundary_grid(final, world.encoder, bounds, args.resolution, os.path.join(args.out, "libags_grid.csv"))
     selected_path = os.path.join(args.out, "selected.csv")
     if report.selected:
         selected_pool = CandidatePool(

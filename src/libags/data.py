@@ -47,6 +47,20 @@ class FeatureMatrix:
         return self.values.shape[1]
 
 
+def _frozen_labels(labels, n_rows: int, n_classes: int, what: str) -> np.ndarray:
+    """Read-only int64 copy of one class label per row, each in [0, n_classes)."""
+    labels = np.array(labels, dtype=np.int64)
+    if n_classes < 2:
+        raise ValidationError(f"n_classes must be at least 2, got {n_classes}")
+    if labels.ndim != 1 or labels.shape[0] != n_rows:
+        raise ValidationError(f"{what}s must be a vector with one entry per feature row")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        bad = int(labels[(labels < 0) | (labels >= n_classes)][0])
+        raise ValidationError(f"{what} {bad} outside [0, {n_classes})")
+    labels.setflags(write=False)
+    return labels
+
+
 @dataclass(frozen=True)
 class LabeledDataset:
     """Features plus 0-based integer class labels."""
@@ -56,16 +70,7 @@ class LabeledDataset:
     n_classes: int
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
-        if self.n_classes < 2:
-            raise ValidationError(f"n_classes must be at least 2, got {self.n_classes}")
-        if labels.ndim != 1 or labels.shape[0] != self.features.n_rows:
-            raise ValidationError("labels must be a vector with one entry per feature row")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-            bad = int(labels[(labels < 0) | (labels >= self.n_classes)][0])
-            raise ValidationError(f"label {bad} outside [0, {self.n_classes})")
-        labels.setflags(write=False)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", _frozen_labels(self.labels, self.features.n_rows, self.n_classes, "label"))
 
     @property
     def n_rows(self) -> int:
@@ -82,15 +87,7 @@ class CandidatePool:
     n_classes: int = 2
 
     def __post_init__(self):
-        labels = np.array(self.proposed_labels, dtype=np.int64)
-        if labels.ndim != 1 or labels.shape[0] != self.features.n_rows:
-            raise ValidationError("proposed_labels must have one entry per candidate row")
-        if self.n_classes < 2:
-            raise ValidationError(f"n_classes must be at least 2, got {self.n_classes}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.n_classes):
-            bad = int(labels[(labels < 0) | (labels >= self.n_classes)][0])
-            raise ValidationError(f"proposed label {bad} outside [0, {self.n_classes})")
-        labels.setflags(write=False)
+        labels = _frozen_labels(self.proposed_labels, self.features.n_rows, self.n_classes, "proposed label")
         object.__setattr__(self, "proposed_labels", labels)
         ids = self.source_ids
         if not ids:
@@ -107,9 +104,15 @@ class CandidatePool:
 
 
 def _read_rows(path):
-    with open(path, newline="") as fh:
+    """Header and data rows of a UTF-8 CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = list(reader)
+        try:
+            rows = list(reader)
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ParseError(f"{path}: file is empty")
     return rows[0], rows[1:]
@@ -135,23 +138,32 @@ def _parse_label(cell, path, row_no, col_name, n_classes):
     return label
 
 
+def _parse_rows(path, header, rows, n_floats: int, label_name=None, n_classes: int = 0):
+    """Rows as wide as the header: ``n_floats`` numbers, then a label if ``label_name`` is given.
+
+    Returns ``(values, labels)``; error messages number the header as row 1.
+    """
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    values = np.empty((len(rows), n_floats))
+    labels = np.empty(len(rows), dtype=np.int64)
+    for i, row in enumerate(rows):
+        row_no = i + 2
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
+        for j in range(n_floats):
+            values[i, j] = _parse_float(row[j], path, row_no, header[j])
+        if label_name is not None:
+            labels[i] = _parse_label(row[n_floats], path, row_no, label_name, n_classes)
+    return values, labels
+
+
 def load_labeled_csv(path, n_classes: int) -> LabeledDataset:
     """Load a dataset from CSV: feature columns followed by a `label` column."""
     header, rows = _read_rows(path)
     if len(header) < 2 or header[-1] != "label":
         raise SchemaError(f"{path}: last column must be named 'label', got header {header}")
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    d = len(header) - 1
-    feats = np.empty((len(rows), d))
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        row_no = i + 2  # 1-based, after the header
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-        for j in range(d):
-            feats[i, j] = _parse_float(row[j], path, row_no, header[j])
-        labels[i] = _parse_label(row[-1], path, row_no, "label", n_classes)
+    feats, labels = _parse_rows(path, header, rows, len(header) - 1, "label", n_classes)
     return LabeledDataset(FeatureMatrix(feats), labels, n_classes)
 
 
@@ -162,21 +174,15 @@ def load_candidate_csv(path, n_classes: int) -> CandidatePool:
     label_col = len(header) - 2 if has_ids else len(header) - 1
     if label_col < 1 or header[label_col] != "proposed_label":
         raise SchemaError(f"{path}: expected feature columns then 'proposed_label' (then optional 'source_id'), got header {header}")
-    if not rows:
-        raise ParseError(f"{path}: no data rows")
-    d = label_col
-    feats = np.empty((len(rows), d))
-    labels = np.empty(len(rows), dtype=np.int64)
-    ids = []
-    for i, row in enumerate(rows):
-        row_no = i + 2
-        if len(row) != len(header):
-            raise ParseError(f"{path}: row {row_no}: expected {len(header)} cells, got {len(row)}")
-        for j in range(d):
-            feats[i, j] = _parse_float(row[j], path, row_no, header[j])
-        labels[i] = _parse_label(row[label_col], path, row_no, "proposed_label", n_classes)
-        ids.append(row[-1] if has_ids else str(i))
-    return CandidatePool(FeatureMatrix(feats), labels, tuple(ids), n_classes)
+    feats, labels = _parse_rows(path, header, rows, label_col, "proposed_label", n_classes)
+    ids = tuple(row[-1] for row in rows) if has_ids else ()
+    return CandidatePool(FeatureMatrix(feats), labels, ids, n_classes)
+
+
+def load_probability_csv(path) -> np.ndarray:
+    """Load class probabilities: a header with one column per class, one row per sample."""
+    header, rows = _read_rows(path)
+    return _parse_rows(path, header, rows, len(header))[0]
 
 
 def _fmt(x: float) -> str:
@@ -242,8 +248,8 @@ def make_two_moons(n_per_class: int, noise_sd: float, gap_halfwidth: float, seed
     """
     if n_per_class < 10:
         raise ValidationError(f"n_per_class must be at least 10, got {n_per_class}")
-    if noise_sd < 0:
-        raise ValidationError(f"noise_sd must be nonnegative, got {noise_sd}")
+    if not (math.isfinite(noise_sd) and noise_sd >= 0):
+        raise ValidationError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
     if not (0 <= gap_halfwidth < 1):
         raise ValidationError(f"gap_halfwidth must lie in [0, 1), got {gap_halfwidth}")
     rng = np.random.default_rng(seed)

@@ -27,10 +27,3 @@ class DivergenceError(LibagsError):
 
 class NoPositiveImportance(LibagsError):
     """Every candidate importance is zero; there is nothing to allocate."""
-
-
-class OracleConvergenceError(LibagsError):
-    """A reference-solver used for verification failed to converge.
-
-    This signals broken test infrastructure, not a library failure.
-    """

@@ -310,11 +310,19 @@ def median_pairwise_distance(features: FeatureMatrix, sq_dists=None) -> float:
     ``sq_dists`` may carry ``sq_distances(features.values)``.
     """
     X = features.values
-    if X.shape[0] < 2:
+    M = X.shape[0]
+    if M < 2:
         return 1.0
     d2 = sq_distances(X) if sq_dists is None else sq_dists
-    upper = d2[np.triu_indices(X.shape[0], k=1)]
-    return max(float(np.median(np.sqrt(upper))), SUPPORT_SIGMA_FLOOR)
+    # The upper triangle row by row into one buffer: the order of
+    # d2[np.triu_indices(M, 1)] without its index arrays and gathered copy.
+    upper = np.empty(M * (M - 1) // 2)
+    start = 0
+    for i in range(M - 1):
+        upper[start : start + M - 1 - i] = d2[i, i + 1 :]
+        start += M - 1 - i
+    np.sqrt(upper, out=upper)
+    return max(float(np.median(upper, overwrite_input=True)), SUPPORT_SIGMA_FLOOR)
 
 
 def median_knn_distance(features: FeatureMatrix, k: int, sq_dists=None) -> float:

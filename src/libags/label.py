@@ -29,23 +29,3 @@ def soft_label(proposed_class: int, pi, a_tau: float) -> np.ndarray:
     e_c = np.zeros(pi.size)
     e_c[proposed_class] = 1.0
     return (1.0 - a_tau) * e_c + a_tau * pi
-
-
-def soft_label_bound_check(e_c, pi, rho, a_tau: float) -> tuple:
-    """Both sides of the blended-label L1 stability bound.
-
-    Returns ``(lhs, rhs)`` where lhs is the L1 distance of the blended
-    label from the reference distribution rho and rhs is the matching
-    convex combination of the component distances. The triangle
-    inequality guarantees lhs <= rhs; the verification suite asserts it
-    on randomized inputs.
-    """
-    e_c = np.asarray(e_c, dtype=np.float64)
-    pi = np.asarray(pi, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    if not (e_c.shape == pi.shape == rho.shape):
-        raise ValidationError("e_c, pi, rho must share a shape")
-    blended = (1.0 - a_tau) * e_c + a_tau * pi
-    lhs = float(np.abs(blended - rho).sum())
-    rhs = float((1.0 - a_tau) * np.abs(e_c - rho).sum() + a_tau * np.abs(pi - rho).sum())
-    return lhs, rhs

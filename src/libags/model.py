@@ -170,10 +170,24 @@ def save_model(path, model: LogisticModel) -> None:
 
 
 def load_model(path) -> LogisticModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    W = np.asarray(payload["weights"], dtype=np.float64)
-    b = np.asarray(payload["bias"], dtype=np.float64)
-    if W.ndim != 2 or b.shape != (W.shape[0],) or W.shape[0] != payload["n_classes"]:
+    """Read a model written by save_model; a malformed file raises ValidationError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{path}: invalid model JSON: {exc}") from None
+    keys = ("weights", "bias", "l2", "n_classes")
+    if not isinstance(payload, dict) or any(key not in payload for key in keys):
+        raise ValidationError(f"{path}: model JSON must be an object with keys {', '.join(keys)}")
+    try:
+        W = np.asarray(payload["weights"], dtype=np.float64)
+        b = np.asarray(payload["bias"], dtype=np.float64)
+        l2 = float(payload["l2"])
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path}: weights, bias and l2 must be numbers in rectangular arrays") from None
+    n_classes = payload["n_classes"]
+    if not (isinstance(n_classes, int) and n_classes >= 2):
+        raise ValidationError(f"{path}: n_classes must be an integer of at least 2, got {n_classes!r}")
+    if W.ndim != 2 or b.shape != (W.shape[0],) or W.shape[0] != n_classes:
         raise ValidationError(f"{path}: inconsistent model shapes")
-    return LogisticModel(W, b, float(payload["l2"]))
+    return LogisticModel(W, b, l2)

@@ -105,11 +105,13 @@ class PipelineConfig:
 
     @classmethod
     def from_json_file(cls, path) -> "PipelineConfig":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             try:
                 payload = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}: invalid JSON config: {exc}") from None
+            except UnicodeDecodeError as exc:
+                raise ValidationError(f"{path}: config is not UTF-8 text: {exc.reason}") from None
         if not isinstance(payload, dict):
             raise ValidationError(f"{path}: config must be a JSON object")
         return cls.from_dict(payload)
@@ -316,6 +318,16 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     )
 
 
+def fit_with_extra(real: LabeledDataset, extra_features, extra_targets, config: PipelineConfig) -> LogisticModel:
+    """Fit a classifier on one-hot real labels plus extra rows with target distributions."""
+    features = real.features.values
+    targets = one_hot(real.labels, real.n_classes)
+    if len(extra_features):
+        features = np.vstack([features, extra_features])
+        targets = np.vstack([targets, extra_targets])
+    return fit_logistic_soft(FeatureMatrix(features), targets, config.l2, config.epochs, config.lr, config.seed)
+
+
 def train_final(real: LabeledDataset, report: SelectionReport, candidates: CandidatePool, config: PipelineConfig) -> LogisticModel:
     """Fit the final classifier on real labels plus the selected soft labels."""
     if report.n_candidates != candidates.n_rows:
@@ -323,12 +335,7 @@ def train_final(real: LabeledDataset, report: SelectionReport, candidates: Candi
     for j in report.selected:
         if not (0 <= j < candidates.n_rows):
             raise ValidationError(f"selected index {j} outside the candidate pool")
-    targets = one_hot(real.labels, real.n_classes)
-    features = real.features.values
-    if report.selected:
-        soft = np.asarray(report.soft_labels, dtype=np.float64)
-        if soft.shape != (len(report.selected), real.n_classes):
-            raise ValidationError("soft labels do not match the selection")
-        features = np.vstack([features, candidates.features.values[report.selected]])
-        targets = np.vstack([targets, soft])
-    return fit_logistic_soft(FeatureMatrix(features), targets, config.l2, config.epochs, config.lr, config.seed)
+    soft = np.asarray(report.soft_labels, dtype=np.float64)
+    if report.selected and soft.shape != (len(report.selected), real.n_classes):
+        raise ValidationError("soft labels do not match the selection")
+    return fit_with_extra(real, candidates.features.values[report.selected], soft, config)

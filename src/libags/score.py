@@ -37,24 +37,8 @@ class ScoreRecord:
         return {name: getattr(self, name) for name in self.FIELDS}
 
 
-def _check_distribution(pi) -> np.ndarray:
-    pi = np.asarray(pi, dtype=np.float64)
-    if pi.ndim != 1 or pi.size < 2:
-        raise ValidationError("probability vector must be 1-D with at least 2 entries")
-    if not np.all(np.isfinite(pi)) or np.any(pi < -1e-12) or abs(pi.sum() - 1.0) > 1e-6:
-        raise ValidationError("entries must be nonnegative and sum to 1")
-    return pi
-
-
-def top_two_margin(pi) -> float:
-    """Gap between the two largest class probabilities."""
-    pi = _check_distribution(pi)
-    top = np.partition(pi, -2)[-2:]
-    return float(top[1] - top[0])
-
-
 def top_two_margin_rows(pi_matrix) -> np.ndarray:
-    """Vectorized top_two_margin over the rows of a probability matrix."""
+    """Gap between the two largest class probabilities of each row."""
     pi = np.asarray(pi_matrix, dtype=np.float64)
     if pi.ndim != 2 or pi.shape[1] < 2:
         raise ValidationError("probability matrix must be 2-D with at least 2 columns")
@@ -85,14 +69,8 @@ def boundary_weight(delta, tau: float):
     return float(out) if out.ndim == 0 else out
 
 
-def entropy(pi) -> float:
-    """Predictive entropy in nats, with 0*log(0) taken as 0."""
-    pi = _check_distribution(pi)
-    pos = pi[pi > 0]
-    return float(-(pos * np.log(pos)).sum())
-
-
 def entropy_rows(pi_matrix) -> np.ndarray:
+    """Predictive entropy in nats of each row, with 0*log(0) taken as 0."""
     pi = np.asarray(pi_matrix, dtype=np.float64)
     terms = np.where(pi > 0, pi * np.log(np.where(pi > 0, pi, 1.0)), 0.0)
     return -terms.sum(axis=1)

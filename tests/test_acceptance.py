@@ -12,16 +12,17 @@ import time
 
 import numpy as np
 
-from libags.alloc import continuous_allocation_oracle, solve_lambda
+from libags.alloc import solve_lambda
 from libags.bench import auroc, run_bench
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv
 from libags.geometry import KernelSpec, similarity_matrix
-from libags.label import soft_label_bound_check
 from libags.model import cross_entropy_gradient, cross_entropy_loss, one_hot
 from libags.pipeline import PipelineConfig, run_selection
 from libags.select import build_regions, greedy_select, marginal_gain
 
+from test_alloc import continuous_allocation_oracle
 from test_bench import brute_force_auroc
+from test_label import soft_label_bound_check
 from test_select import facility_value, naive_greedy
 
 

@@ -78,16 +78,16 @@ class TestRunBench:
         assert solo.accuracies == paired.accuracies
 
     def test_every_method_trains_on_n_plus_m_rows(self, monkeypatch):
-        import libags.bench as bench_module
+        import libags.pipeline as pipeline_module
 
         sizes = []
-        original = bench_module.fit_logistic_soft
+        original = pipeline_module.fit_logistic_soft
 
         def recording_fit(features, targets, *args, **kwargs):
             sizes.append(features.n_rows)
             return original(features, targets, *args, **kwargs)
 
-        monkeypatch.setattr(bench_module, "fit_logistic_soft", recording_fit)
+        monkeypatch.setattr(pipeline_module, "fit_logistic_soft", recording_fit)
         config = PipelineConfig(epochs=100, rff_dim=16)
         results = run_bench(["erm", "random", "noise", "uncertainty_only", "libags"], [0], config, n_per_class=40)
         m_hat = results[-1].m_hats[0]

@@ -128,6 +128,7 @@ BAD_CONFIGS = [
     '{"bogus": 1}',
     '[1, 2]',
     '{"epochs": ',
+    b'{"epochs": "\xff"}',
 ]
 
 
@@ -135,11 +136,57 @@ BAD_CONFIGS = [
 def test_bad_config_exits_one_with_one_error_line(text, moon_files, tmp_path, capsys):
     real, cands = moon_files
     config = tmp_path / "bad.json"
-    config.write_text(text)
+    config.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["select", "--real", str(real), "--candidates", str(cands), "--out", str(tmp_path / "r.json"), "--config", str(config)])
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+REAL_HEADER = b"feature_0,feature_1,label\n"
+PROBA_HEADER = b"prob_0,prob_1\n"
+
+# (flag the bad file is passed with, its bytes)
+BAD_CSVS = {
+    "non-utf8": ("--real", REAL_HEADER + b"0.5,\xff\xfe,1\n"),
+    "over-long-field": ("--real", REAL_HEADER + b"1" * 131073 + b",2,0\n"),
+    "empty": ("--real", b""),
+    "header-only": ("--real", REAL_HEADER),
+    "ragged-row": ("--real", REAL_HEADER + b"1,2,0\n1,2\n"),
+    "trailing-blank-line": ("--real", REAL_HEADER + b"1,2,0\n0,1,1\n\n"),
+    "non-numeric-cell": ("--real", REAL_HEADER + b"1,abc,0\n"),
+    "overflowing-number": ("--real", REAL_HEADER + b"1e999,2,0\n"),
+    "float-label": ("--real", REAL_HEADER + b"1,2,1.0\n"),
+    "label-out-of-range": ("--real", REAL_HEADER + b"1,2,2\n"),
+    "no-label-column": ("--real", b"feature_0,feature_1,y\n1,2,0\n"),
+    "no-proposed-label-column": ("--candidates", REAL_HEADER + b"1,2,0\n"),
+    "candidate-non-utf8": ("--candidates", b"feature_0,feature_1,proposed_label\n1,2,0\n\xe9,2,0\n"),
+    "proba-ragged": ("--proba-real", PROBA_HEADER + b"0.5,0.5\n0.5\n"),
+    "proba-non-numeric": ("--proba-real", PROBA_HEADER + b"0.5,half\n"),
+    "proba-header-only": ("--proba-real", PROBA_HEADER),
+    "proba-header-narrower-than-rows": ("--proba-real", b"prob\n0.5,0.5\n"),
+    "proba-header-wider-than-rows": ("--proba-real", b"prob_0,prob_1,prob_2\n0.5,0.5\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CSVS))
+def test_bad_csv_exits_one_with_one_error_line(case, moon_files, tmp_path, capsys):
+    real, cands = moon_files
+    flag, content = BAD_CSVS[case]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    good = tmp_path / "proba.csv"
+    good.write_text("prob_0,prob_1\n0.5,0.5\n")
+    paths = {"--real": str(real), "--candidates": str(cands), "--proba-real": str(good), "--proba-cand": str(good), flag: str(bad)}
+    argv = ["select", "--out", str(tmp_path / "r.json")]
+    for name, path in paths.items():
+        argv += [name, path]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert str(bad) in err
     assert "Traceback" not in err
 
 
@@ -175,6 +222,18 @@ class TestBenchCommand:
 
     def test_bad_seed_list_exits_one(self, tmp_path):
         assert main(["bench", "--methods", "erm", "--seeds", "zero", "--out", str(tmp_path)]) == 1
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        assert main(["bench", "--methods", "erm", "--seeds", "0,-1", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nonnegative" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_bad_noise_exits_one(self, noise, tmp_path, capsys):
+        assert main(["bench", "--methods", "erm", "--seeds", "0", "--noise-sd", noise, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "noise_sd" in err
 
     def test_rerun_produces_identical_csv_bytes(self, fast_config, tmp_path):
         args = ["bench", "--methods", "erm,random", "--seeds", "0", "--config", str(fast_config), "--n-per-class", "30"]
@@ -223,6 +282,31 @@ class TestExportGridCommand:
         model_path = tmp_path / "model.json"
         save_model(model_path, LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0))
         assert main(["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1", "--resolution", "3"]) == 1
+
+
+BAD_MODELS = {
+    "invalid-json": '{"weights": ',
+    "non-utf8": b'{"weights": "\xff"}',
+    "list": "[1, 2]",
+    "missing-keys": '{"weights": [[0, 0], [0, 0]], "bias": [0, 0]}',
+    "ragged-weights": '{"weights": [[0, 0], [0]], "bias": [0, 0], "l2": 0, "n_classes": 2}',
+    "non-numeric-bias": '{"weights": [[0, 0], [0, 0]], "bias": ["a", 0], "l2": 0, "n_classes": 2}',
+    "null-l2": '{"weights": [[0, 0], [0, 0]], "bias": [0, 0], "l2": null, "n_classes": 2}',
+    "one-class": '{"weights": [[0, 0]], "bias": [0], "l2": 0, "n_classes": 1}',
+    "class-count-mismatch": '{"weights": [[0, 0], [0, 0]], "bias": [0, 0], "l2": 0, "n_classes": 3}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_bad_model_exits_one_with_one_error_line(case, tmp_path, capsys):
+    text = BAD_MODELS[case]
+    model_path = tmp_path / "model.json"
+    model_path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code = main(["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1,0,1", "--resolution", "3"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 class TestModuleEntryPoint:

@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ def expansion_median_knn_distance(features, k, sq_dists=None):
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
     return max(float(np.median(np.sqrt(kth))), 1e-9)
+
+
+def triu_median_pairwise_distance(features, sq_dists=None):
+    """Gather oracle for median_pairwise_distance: the upper triangle by index arrays."""
+    X = features.values
+    if X.shape[0] < 2:
+        return 1.0
+    d2 = sq_distances(X) if sq_dists is None else sq_dists
+    upper = d2[np.triu_indices(X.shape[0], k=1)]
+    return max(float(np.median(np.sqrt(upper))), 1e-9)
 
 
 def adversarial_sets(rng, d):
@@ -345,6 +356,27 @@ class TestBandwidthHeuristics:
                 assert median_knn_distance(feats, k) == want
                 assert median_knn_distance(feats, k, sq_dists=shared) == want
             assert median_pairwise_distance(feats, sq_dists=shared) == median_pairwise_distance(feats)
+
+    def test_median_pairwise_bit_identical_to_gathered_triangle(self):
+        rng = np.random.default_rng(13)
+        for M in (2, 3, 50, 501, 2000):
+            feats = FeatureMatrix(rng.normal(size=(M, 3)))
+            assert median_pairwise_distance(feats) == triu_median_pairwise_distance(feats)
+        ties = FeatureMatrix(np.repeat(np.arange(6.0), 3)[:, None])  # an even count of tied distances
+        assert median_pairwise_distance(ties) == triu_median_pairwise_distance(ties)
+
+    def test_median_pairwise_needs_one_triangle_buffer(self):
+        M = 1500
+        feats = FeatureMatrix(np.random.default_rng(14).normal(size=(M, 8)))
+        shared = sq_distances(feats.values)
+        tracemalloc.start()
+        try:
+            median_pairwise_distance(feats, sq_dists=shared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        triangle = M * (M - 1) // 2 * 8
+        assert peak < 1.1 * triangle  # the gather needed about 3x
 
     def test_products_restore_the_blas_thread_count(self):
         if geometry._BLAS_THREADS is None:

