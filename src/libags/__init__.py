@@ -22,7 +22,6 @@ from .errors import (
 )
 from .geometry import (
     KernelSpec,
-    NeighborIndex,
     knn_density,
     knn_distances,
     median_knn_distance,
@@ -50,7 +49,6 @@ __all__ = [
     "LabeledDataset",
     "LibagsError",
     "LogisticModel",
-    "NeighborIndex",
     "NoPositiveImportance",
     "ParseError",
     "PipelineConfig",

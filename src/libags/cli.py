@@ -9,6 +9,7 @@ the one optional nondeterministic field and --reproducible drops them.
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 
@@ -67,10 +68,10 @@ def _cmd_score(args) -> int:
     config, real, pool, external = _load_inputs(args)
     report = run_selection(real, pool, config, external_proba=external)
     with open(args.out, "w", newline="") as fh:
-        fh.write("index,source_id," + ",".join(ScoreRecord.FIELDS) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["index", "source_id", *ScoreRecord.FIELDS])
         for i, record in enumerate(report.scores):
-            cells = ",".join(f"{getattr(record, name):.17g}" for name in ScoreRecord.FIELDS)
-            fh.write(f"{i},{pool.source_ids[i]},{cells}\n")
+            writer.writerow([i, pool.source_ids[i], *(f"{getattr(record, name):.17g}" for name in ScoreRecord.FIELDS)])
     print(f"scored {pool.n_rows} candidates -> {args.out}")
     return 0
 
@@ -184,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(func=_cmd_bench)
 
     p_demo = sub.add_parser("demo-two-moons", help="boundary-gap demo artifacts for plotting")
-    p_demo.add_argument("--seed", type=int, default=0)
+    p_demo.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_demo.add_argument("--out", required=True, help="output directory")
     p_demo.add_argument("--config", default=None)
     p_demo.add_argument("--resolution", type=int, default=80)

@@ -13,6 +13,10 @@ equal those of the direct differences formula sum((a - b)^2) bit for
 bit, so ``nearest`` screens with the expansion, bounds its rounding
 error, and recomputes with the direct formula only the pairs that the
 bound cannot settle.
+
+The kNN statistics are functions of one query's distances: the pipeline
+asks ``knn_distances`` once for the candidates' distances to the real
+data, and ``knn_density`` and ``support_validity`` both read that matrix.
 """
 
 from __future__ import annotations
@@ -90,21 +94,6 @@ def _one_blas_thread():
             _blas_users -= 1
             if _blas_users == 0:
                 put(_blas_saved)
-
-
-@dataclass(frozen=True)
-class NeighborIndex:
-    """Brute-force Euclidean index over a fixed reference set."""
-
-    points: FeatureMatrix
-
-    @property
-    def n_points(self) -> int:
-        return self.points.n_rows
-
-    @property
-    def dim(self) -> int:
-        return self.points.n_cols
 
 
 @dataclass(frozen=True)
@@ -217,7 +206,7 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     return (dist2 if distances else None), index
 
 
-def knn_distances(index: NeighborIndex, query: FeatureMatrix, k: int, exclude_self: bool = False) -> np.ndarray:
+def knn_distances(reference: FeatureMatrix, query: FeatureMatrix, k: int, exclude_self: bool = False) -> np.ndarray:
     """k smallest reference distances per query row, ascending.
 
     The values are those of the direct formula sqrt(sum((q - r)^2)),
@@ -225,14 +214,14 @@ def knn_distances(index: NeighborIndex, query: FeatureMatrix, k: int, exclude_se
     rows must be the reference rows in order; each row then ignores its
     own reference entry.
     """
-    if query.n_cols != index.dim:
-        raise ValidationError(f"query has {query.n_cols} columns, index has {index.dim}")
-    available = index.n_points - (1 if exclude_self else 0)
-    if exclude_self and query.n_rows != index.n_points:
+    if query.n_cols != reference.n_cols:
+        raise ValidationError(f"query has {query.n_cols} columns, reference has {reference.n_cols}")
+    available = reference.n_rows - (1 if exclude_self else 0)
+    if exclude_self and query.n_rows != reference.n_rows:
         raise ValidationError("exclude_self requires the query rows to be the reference rows")
     if k < 1 or k > available:
         raise ValidationError(f"k must lie in [1, {available}], got {k}")
-    dist2, _ = nearest(query.values, index.points.values, k, exclude_self=exclude_self)
+    dist2, _ = nearest(query.values, reference.values, k, exclude_self=exclude_self)
     return np.sqrt(dist2)
 
 
@@ -243,27 +232,28 @@ def unit_ball_volume(dim: int) -> float:
     return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
 
 
-def knn_density(index: NeighborIndex, query: FeatureMatrix, k: int, dim: int, exclude_self: bool = False, distances=None) -> np.ndarray:
+def knn_density(distances, n_reference: int, dim: int) -> np.ndarray:
     """kNN density estimate k / (n * V_dim * R_k^dim) per query row.
 
     ``dim`` is the volume exponent and is passed explicitly so callers
     can use the intrinsic data dimension when the ambient one would be
     numerically meaningless. A zero k-th distance (duplicate points) is
     replaced by the smallest positive distance seen in the batch, so
-    the estimate stays finite. ``distances`` may carry a precomputed
-    result of ``knn_distances`` for the same (index, query, k).
+    the estimate stays finite. ``distances`` is a ``knn_distances``
+    result over ``n_reference`` reference rows; k is its column count.
     """
-    dists = knn_distances(index, query, k, exclude_self=exclude_self) if distances is None else np.asarray(distances)
+    dists = np.asarray(distances)
+    k = dists.shape[1]
     radius = dists[:, k - 1].copy()
     if np.any(radius == 0):
         positive = dists[dists > 0]
         fallback = positive.min() if positive.size else 1.0
         radius[radius == 0] = fallback
-    log_density = math.log(k) - math.log(index.n_points) - math.log(unit_ball_volume(dim)) - dim * np.log(radius)
+    log_density = math.log(k) - math.log(n_reference) - math.log(unit_ball_volume(dim)) - dim * np.log(radius)
     return np.exp(log_density)
 
 
-def support_validity(index: NeighborIndex, query: FeatureMatrix, k: int, calibration, distances=None) -> np.ndarray:
+def support_validity(distances, calibration) -> np.ndarray:
     """Score in [0, 1]: 1 when a query is as close to real data as a typical real point.
 
     ``calibration`` holds the k-th neighbor distances among the real
@@ -273,15 +263,15 @@ def support_validity(index: NeighborIndex, query: FeatureMatrix, k: int, calibra
     at the median itself: the raw upper spread collapses for evenly
     sampled data, which would reject every candidate more than a hair
     beyond the sampled region instead of fading out over the same
-    distance scale the data itself exhibits.
+    distance scale the data itself exhibits. ``distances`` is a
+    ``knn_distances`` result against the real points for the same k.
     """
     calibration = np.asarray(calibration, dtype=np.float64)
     if calibration.size == 0:
         raise ValidationError("calibration must be nonempty")
     rho = float(np.median(calibration))
     sigma = max(float(np.quantile(calibration, 0.9)) - rho, rho, SUPPORT_SIGMA_FLOOR)
-    dists = knn_distances(index, query, k) if distances is None else np.asarray(distances)
-    excess = np.maximum(dists[:, k - 1] - rho, 0.0)
+    excess = np.maximum(np.asarray(distances)[:, -1] - rho, 0.0)
     return np.exp(-(excess**2) / (2.0 * sigma * sigma))
 
 

@@ -99,21 +99,19 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def cross_entropy_loss(weights, bias, features, targets, l2: float) -> float:
-    """Mean cross-entropy against distribution targets plus (l2/2)*||W||^2."""
+def cross_entropy(weights, bias, features, targets, l2: float):
+    """Mean cross-entropy against distribution targets plus (l2/2)*||W||^2.
+
+    Returns ``(loss, grad_w, grad_b)``, the loss and its analytic gradient
+    with respect to the weights and the bias; this is what training runs.
+    """
     X = np.asarray(features, dtype=np.float64)
     T = np.asarray(targets, dtype=np.float64)
-    logp = _log_softmax(X @ np.asarray(weights).T + np.asarray(bias))
-    return float(-(T * logp).sum() / X.shape[0] + 0.5 * l2 * (np.asarray(weights) ** 2).sum())
-
-
-def cross_entropy_gradient(weights, bias, features, targets, l2: float):
-    """Analytic gradient of cross_entropy_loss w.r.t. (weights, bias)."""
-    X = np.asarray(features, dtype=np.float64)
-    T = np.asarray(targets, dtype=np.float64)
-    probs = np.exp(_log_softmax(X @ np.asarray(weights).T + np.asarray(bias)))
-    resid = (probs - T) / X.shape[0]
-    return resid.T @ X + l2 * np.asarray(weights), resid.sum(axis=0)
+    W = np.asarray(weights, dtype=np.float64)
+    logp = _log_softmax(X @ W.T + bias)
+    loss = float(-(T * logp).sum() / X.shape[0] + 0.5 * l2 * (W**2).sum())
+    resid = (np.exp(logp) - T) / X.shape[0]
+    return loss, resid.T @ X + l2 * W, resid.sum(axis=0)
 
 
 def _fit_core(X, T, n_classes, l2, epochs, lr):
@@ -128,27 +126,21 @@ def _fit_core(X, T, n_classes, l2, epochs, lr):
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned about
         for epoch in range(epochs):
-            logp = _log_softmax(X @ W.T + b)
-            loss = -(T * logp).sum() / X.shape[0] + 0.5 * l2 * (W**2).sum()
+            loss, grad_w, grad_b = cross_entropy(W, b, X, T, l2)
             if not np.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            losses.append(float(loss))
-            resid = (np.exp(logp) - T) / X.shape[0]
-            W -= lr * (resid.T @ X + l2 * W)
-            b -= lr * resid.sum(axis=0)
+            losses.append(loss)
+            W -= lr * grad_w
+            b -= lr * grad_b
     return W, b, losses
 
 
-def fit_logistic(features: FeatureMatrix, labels, n_classes: int, l2: float, epochs: int, lr: float, seed: int = 0) -> LogisticModel:
-    """Fit on hard class labels.
-
-    ``seed`` is part of the contract for reproducibility audits but the
-    optimizer is deterministic anyway (zero init, fixed iteration order).
-    """
-    return fit_logistic_soft(features, one_hot(labels, n_classes), l2, epochs, lr, seed)
+def fit_logistic(features: FeatureMatrix, labels, n_classes: int, l2: float, epochs: int, lr: float) -> LogisticModel:
+    """Fit on hard class labels; the optimizer is deterministic (zero init, fixed iteration order)."""
+    return fit_logistic_soft(features, one_hot(labels, n_classes), l2, epochs, lr)
 
 
-def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, lr: float, seed: int = 0) -> LogisticModel:
+def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, lr: float) -> LogisticModel:
     """Fit on distribution targets (rows of ``targets`` sum to 1)."""
     T = np.asarray(targets, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != features.n_rows:

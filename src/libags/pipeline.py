@@ -27,7 +27,7 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, NeighborIndex, knn_density, knn_distances, median_knn_distance, median_pairwise_distance, similarity_matrix, sq_distances, support_validity
+from .geometry import KernelSpec, knn_density, knn_distances, median_knn_distance, median_pairwise_distance, similarity_matrix, sq_distances, support_validity
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
@@ -211,7 +211,7 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         _validate_proba(real_proba, n_real, real.n_classes, "real")
         cand_proba = _validate_proba(cand_proba, n_cand, real.n_classes, "candidate")
     else:
-        scoring = fit_logistic(real.features, real.labels, real.n_classes, config.l2, config.epochs, config.lr, config.seed)
+        scoring = fit_logistic(real.features, real.labels, real.n_classes, config.l2, config.epochs, config.lr)
         cand_proba = predict_proba(scoring, candidates.features)
     timings["scoring_model"] = clock() - t0
 
@@ -223,12 +223,11 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     timings["candidate_scores"] = clock() - t0
 
     t0 = clock()
-    index = NeighborIndex(real.features)
     k = min(config.knn_k, n_real - 1)
-    calibration = knn_distances(index, real.features, k, exclude_self=True)[:, k - 1]
-    cand_dists = knn_distances(index, candidates.features, k)
-    density = knn_density(index, candidates.features, k, real.features.n_cols, distances=cand_dists)
-    support = support_validity(index, candidates.features, k, calibration, distances=cand_dists)
+    calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
+    cand_dists = knn_distances(real.features, candidates.features, k)
+    density = knn_density(cand_dists, n_real, real.features.n_cols)
+    support = support_validity(cand_dists, calibration)
     timings["geometry"] = clock() - t0
 
     t0 = clock()
@@ -278,7 +277,7 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         state = None
     else:
         budget = None if config.max_budget == "none" else config.max_budget
-        state = greedy_select(values, kernel, candidates.features, regions, None, max_budget=budget, similarity=sim)
+        state = greedy_select(values, sim, regions, eta=None, max_budget=budget)
         eta = state.eta
     timings["greedy"] = clock() - t0
 
@@ -325,7 +324,7 @@ def fit_with_extra(real: LabeledDataset, extra_features, extra_targets, config: 
     if len(extra_features):
         features = np.vstack([features, extra_features])
         targets = np.vstack([targets, extra_targets])
-    return fit_logistic_soft(FeatureMatrix(features), targets, config.l2, config.epochs, config.lr, config.seed)
+    return fit_logistic_soft(FeatureMatrix(features), targets, config.l2, config.epochs, config.lr)
 
 
 def train_final(real: LabeledDataset, report: SelectionReport, candidates: CandidatePool, config: PipelineConfig) -> LogisticModel:

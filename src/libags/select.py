@@ -23,7 +23,7 @@ import numpy as np
 
 from .data import FeatureMatrix
 from .errors import ValidationError
-from .geometry import KernelSpec, direct_sq_distances, nearest, similarity_matrix
+from .geometry import direct_sq_distances, nearest
 
 
 @dataclass
@@ -32,7 +32,6 @@ class RegionTable:
 
     assignment: np.ndarray  # region index per candidate
     c: np.ndarray  # real coverage per region, smoothed to stay positive
-    t: np.ndarray  # synthetic samples selected per region
     r_region: np.ndarray  # mean candidate importance per region
     centroids: np.ndarray = field(default=None, repr=False)
 
@@ -112,7 +111,7 @@ def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatri
         members = assignment == j
         if members.any():
             r_region[j] = r[members].mean()
-    return RegionTable(assignment, c, np.zeros(n_regions, dtype=np.int64), r_region, centroids)
+    return RegionTable(assignment, c, r_region, centroids)
 
 
 def marginal_gain(r_j: float, c_j: float, t_j: int) -> float:
@@ -162,7 +161,7 @@ def _facility_gain(sim_row, cover, values) -> float:
     return float(np.sum(values * np.maximum(sim_row - cover, 0.0)))
 
 
-def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: RegionTable, eta: float | None = None, max_budget=None, similarity=None) -> SelectionState:
+def greedy_select(values, similarity, regions: RegionTable, eta: float | None = None, max_budget=None) -> SelectionState:
     """Lazy greedy maximization of coverage value plus region gains.
 
     Accepts the candidate with the largest combined gain while that gain
@@ -181,8 +180,8 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
     search finds no interior, ``eta`` is 0 and the pass goes on to
     accept every positive gain.
 
-    ``similarity`` must be symmetric (as ``similarity_matrix`` builds
-    it): the selector reads candidate j's similarities from row j.
+    ``similarity`` is the symmetric (M, M) matrix ``similarity_matrix``
+    builds: the selector reads candidate j's similarities from row j.
     """
     values = np.asarray(values, dtype=np.float64)
     M = values.size
@@ -191,7 +190,6 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
     if regions.assignment.shape != (M,):
         raise ValidationError("regions must cover exactly the candidate pool")
     budget = M if max_budget is None else min(int(max_budget), M)
-    S = similarity_matrix(kernel, features) if similarity is None else similarity
     cover = np.zeros(M)
     t = np.zeros(regions.n_regions, dtype=np.int64)
     gains_log: list = []
@@ -199,7 +197,7 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
 
     def combined_gain(j):
         region = regions.assignment[j]
-        facility = _facility_gain(S[j], cover, values)
+        facility = _facility_gain(similarity[j], cover, values)
         region_g = marginal_gain(regions.r_region[region], regions.c[region], int(t[region]))
         return facility, region_g, facility + region_g
 
@@ -233,7 +231,7 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
                 return "cut"
             selected.append(j)
             t[regions.assignment[j]] += 1
-            np.maximum(cover, S[j], out=cover)
+            np.maximum(cover, similarity[j], out=cover)
             gains_log.append(GainStep(len(selected), j, facility, region_g, best))
         return "exhausted"
 
@@ -257,7 +255,7 @@ def greedy_select(values, kernel: KernelSpec, features: FeatureMatrix, regions: 
                 t[:] = 0
                 for j in selected:
                     t[regions.assignment[j]] += 1
-                    np.maximum(cover, S[j], out=cover)
+                    np.maximum(cover, similarity[j], out=cover)
 
     objective = float(np.sum(values * cover))
     return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason)

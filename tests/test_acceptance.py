@@ -16,7 +16,7 @@ from libags.alloc import solve_lambda
 from libags.bench import auroc, run_bench
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv
 from libags.geometry import KernelSpec, similarity_matrix
-from libags.model import cross_entropy_gradient, cross_entropy_loss, one_hot
+from libags.model import cross_entropy, one_hot
 from libags.pipeline import PipelineConfig, run_selection
 from libags.select import build_regions, greedy_select, marginal_gain
 
@@ -112,7 +112,7 @@ def test_criterion_4_coverage_objective_properties():
             budget = int(rng.integers(1, 5))
             regions = build_regions(feats, feats, np.zeros(M), 1, 0)
             regions.r_region[:] = 0.0
-            state = greedy_select(values, kern, feats, regions, 0.0, max_budget=budget, similarity=sim)
+            state = greedy_select(values, sim, regions, 0.0, max_budget=budget)
             best = max(facility_value(values, sim, combo) for combo in itertools.combinations(range(M), budget))
             if best > 0:
                 min_ratio = min(min_ratio, facility_value(values, sim, state.selected) / best)
@@ -146,7 +146,7 @@ def test_criterion_5_lazy_equals_naive():
         regions = build_regions(real, feats, rng.uniform(0, 1, M), int(rng.integers(1, max(2, M // 2))), int(rng.integers(10**6)))
         eta = float(rng.choice([0.0, 0.02, 0.1, 0.4]))
         budget = int(rng.integers(1, M + 1)) if rng.random() < 0.5 else None
-        state = greedy_select(values, kern, feats, regions, eta, max_budget=budget, similarity=sim)
+        state = greedy_select(values, sim, regions, eta, max_budget=budget)
         ref_selected, ref_gains = naive_greedy(values, sim, regions, eta, budget)
         same = state.selected == ref_selected and all(
             step.combined_gain == combined and step.facility_gain == fac and step.region_gain == reg
@@ -204,19 +204,19 @@ def test_criterion_8_gradient_check():
         W = rng.normal(size=(K, d))
         b = rng.normal(size=K)
         l2 = float(rng.uniform(0, 0.01))
-        gW, gb = cross_entropy_gradient(W, b, X, T, l2)
+        _, gW, gb = cross_entropy(W, b, X, T, l2)
         fW = np.zeros_like(W)
         for idx in np.ndindex(W.shape):
             up, down = W.copy(), W.copy()
             up[idx] += step
             down[idx] -= step
-            fW[idx] = (cross_entropy_loss(up, b, X, T, l2) - cross_entropy_loss(down, b, X, T, l2)) / (2 * step)
+            fW[idx] = (cross_entropy(up, b, X, T, l2)[0] - cross_entropy(down, b, X, T, l2)[0]) / (2 * step)
         fb = np.zeros_like(b)
         for i in range(K):
             up, down = b.copy(), b.copy()
             up[i] += step
             down[i] -= step
-            fb[i] = (cross_entropy_loss(W, up, X, T, l2) - cross_entropy_loss(W, down, X, T, l2)) / (2 * step)
+            fb[i] = (cross_entropy(W, up, X, T, l2)[0] - cross_entropy(W, down, X, T, l2)[0]) / (2 * step)
         err = (np.linalg.norm(gW - fW) + np.linalg.norm(gb - fb)) / max(np.linalg.norm(fW) + np.linalg.norm(fb), 1e-12)
         worst = max(worst, err)
     ok = worst < 1e-4

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from libags.cli import main
-from libags.data import make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
+from libags.data import CandidatePool, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
 
 
 @pytest.fixture()
@@ -203,6 +204,20 @@ class TestScoreCommand:
         n_pool = load_candidate_csv(cands, 2).n_rows
         assert len(lines) == 1 + n_pool
 
+    def test_source_ids_with_commas_quotes_and_newlines_keep_their_column(self, fast_config, tmp_path):
+        train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
+        ids = tuple(f'gen,"{i}"' if i % 3 == 0 else (f"line\nbreak {i}" if i % 3 == 1 else f"plain{i}") for i in range(pool.n_rows))
+        pool = CandidatePool(pool.features, pool.proposed_labels, ids, 2)
+        real, cands, out = tmp_path / "real.csv", tmp_path / "cands.csv", tmp_path / "scores.csv"
+        write_labeled_csv(real, train)
+        write_candidate_csv(cands, pool)
+        assert main(["score", "--real", str(real), "--candidates", str(cands), "--out", str(out), "--config", str(fast_config)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        header, body = rows[0], rows[1:]
+        assert all(len(row) == len(header) for row in body)
+        assert tuple(row[header.index("source_id")] for row in body) == ids
+
 
 class TestBenchCommand:
     def test_small_bench_writes_outputs(self, fast_config, tmp_path):
@@ -258,6 +273,13 @@ class TestDemoCommand:
         pool_rows = {tuple(row) for row in np.round(pool.features.values, 10).tolist()}
         for row in np.round(selected.features.values, 10).tolist():
             assert tuple(row) in pool_rows
+
+    def test_config_seed_applies_without_seed_flag(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 120, "rff_dim": 16, "seed": 3}))
+        out_dir = tmp_path / "demo"
+        assert main(["demo-two-moons", "--out", str(out_dir), "--config", str(config), "--resolution", "4", "--reproducible"]) == 0
+        assert json.loads((out_dir / "report.json").read_text())["config"]["seed"] == 3
 
     def test_seed_changes_the_selection(self, fast_config, tmp_path):
         for seed in ("7", "8"):

@@ -11,7 +11,6 @@ from libags.errors import ValidationError
 from libags import geometry
 from libags.geometry import (
     KernelSpec,
-    NeighborIndex,
     knn_density,
     knn_distances,
     median_knn_distance,
@@ -125,14 +124,12 @@ def brute_force_knn(reference, query, k, exclude_self=False):
 class TestKnnDistances:
     def test_self_query_distance_zero(self):
         pts = FeatureMatrix(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        index = NeighborIndex(pts)
-        dists = knn_distances(index, pts, 1)
+        dists = knn_distances(pts, pts, 1)
         np.testing.assert_allclose(dists[:, 0], 0.0, atol=0)
 
     def test_collinear_self_excluded(self):
         pts = FeatureMatrix(np.array([[0.0], [1.0], [3.0]]))
-        index = NeighborIndex(pts)
-        dists = knn_distances(index, pts, 2, exclude_self=True)
+        dists = knn_distances(pts, pts, 2, exclude_self=True)
         np.testing.assert_allclose(dists[0], [1.0, 3.0], atol=0)
 
     def test_matches_brute_force_exactly(self):
@@ -143,7 +140,7 @@ class TestKnnDistances:
             ref = rng.normal(size=(n, d))
             query = rng.normal(size=(15, d))
             k = int(rng.integers(1, n))
-            ours = knn_distances(NeighborIndex(FeatureMatrix(ref)), FeatureMatrix(query), k)
+            ours = knn_distances(FeatureMatrix(ref), FeatureMatrix(query), k)
             oracle = brute_force_knn(ref, query, k)
             assert np.array_equal(ours, oracle)
 
@@ -151,7 +148,7 @@ class TestKnnDistances:
         # two references at identical distance from the query
         ref = FeatureMatrix(np.array([[1.0, 0.0], [-1.0, 0.0], [5.0, 0.0]]))
         query = FeatureMatrix(np.array([[0.0, 0.0]]))
-        dists = knn_distances(NeighborIndex(ref), query, 2)
+        dists = knn_distances(ref, query, 2)
         np.testing.assert_allclose(dists[0], [1.0, 1.0], atol=0)
 
     @pytest.mark.parametrize("d", [1, 2, 64])
@@ -159,13 +156,13 @@ class TestKnnDistances:
     def test_bit_identical_to_direct_formula(self, d):
         rng = np.random.default_rng(d)
         for name, ref, query in adversarial_sets(rng, d):
-            index = NeighborIndex(FeatureMatrix(ref))
+            reference = FeatureMatrix(ref)
             n = len(ref)
             for k in (1, 3, n):
-                got = knn_distances(index, FeatureMatrix(query), k)
+                got = knn_distances(reference, FeatureMatrix(query), k)
                 assert np.array_equal(got, direct_knn_distances(ref, query, k)), (name, k)
             for k in (1, 3, n - 1):
-                got = knn_distances(index, FeatureMatrix(ref), k, exclude_self=True)
+                got = knn_distances(reference, reference, k, exclude_self=True)
                 assert np.array_equal(got, direct_knn_distances(ref, ref, k, exclude_self=True)), (name, k)
 
     def test_bit_identical_across_blocks(self):
@@ -174,10 +171,10 @@ class TestKnnDistances:
         rng = np.random.default_rng(11)
         ref = np.round(rng.normal(size=(1200, 3)), 1)
         query = np.round(rng.normal(size=(1900, 3)), 1)
-        got = knn_distances(NeighborIndex(FeatureMatrix(ref)), FeatureMatrix(query), 20)
+        got = knn_distances(FeatureMatrix(ref), FeatureMatrix(query), 20)
         assert np.array_equal(got, direct_knn_distances(ref, query, 20))
         pts = np.vstack([ref, query[:300]])
-        got = knn_distances(NeighborIndex(FeatureMatrix(pts)), FeatureMatrix(pts), 7, exclude_self=True)
+        got = knn_distances(FeatureMatrix(pts), FeatureMatrix(pts), 7, exclude_self=True)
         assert np.array_equal(got, direct_knn_distances(pts, pts, 7, exclude_self=True))
 
     def test_index_only_gives_the_same_neighbors(self):
@@ -191,7 +188,7 @@ class TestKnnDistances:
     def test_k_too_large(self):
         pts = FeatureMatrix(np.ones((3, 2)))
         with pytest.raises(ValidationError):
-            knn_distances(NeighborIndex(pts), pts, 4)
+            knn_distances(pts, pts, 4)
 
 
 class TestKnnDensity:
@@ -199,8 +196,7 @@ class TestKnnDensity:
         # n=2 points 2 apart in 1-D, query at one of them, self excluded:
         # density = 1 / (2 * V_1 * R) = 1 / (2 * 2 * 2)
         pts = FeatureMatrix(np.array([[0.0], [2.0]]))
-        index = NeighborIndex(pts)
-        density = knn_density(index, pts, 1, 1, exclude_self=True)
+        density = knn_density(knn_distances(pts, pts, 1, exclude_self=True), 2, 1)
         np.testing.assert_allclose(density, 0.125, atol=1e-12)
 
     def test_scaling_law(self):
@@ -208,23 +204,21 @@ class TestKnnDensity:
         for d in (1, 2, 3):
             ref = rng.normal(size=(40, d))
             query = rng.normal(size=(10, d))
-            base = knn_density(NeighborIndex(FeatureMatrix(ref)), FeatureMatrix(query), 5, d)
-            scaled = knn_density(NeighborIndex(FeatureMatrix(2.0 * ref)), FeatureMatrix(2.0 * query), 5, d)
+            base = knn_density(knn_distances(FeatureMatrix(ref), FeatureMatrix(query), 5), 40, d)
+            scaled = knn_density(knn_distances(FeatureMatrix(2.0 * ref), FeatureMatrix(2.0 * query), 5), 40, d)
             np.testing.assert_allclose(scaled, base * 2.0**-d, rtol=1e-9)
 
     def test_duplicate_cloud_stays_finite(self):
         pts = FeatureMatrix(np.zeros((5, 2)))
-        index = NeighborIndex(pts)
-        density = knn_density(index, pts, 1, 2, exclude_self=True)
+        density = knn_density(knn_distances(pts, pts, 1, exclude_self=True), 5, 2)
         assert np.all(np.isfinite(density))
         assert np.all(density > 0)
 
     def test_monte_carlo_standard_gaussian(self):
         rng = np.random.default_rng(42)
         samples = rng.normal(size=(5000, 2))
-        index = NeighborIndex(FeatureMatrix(samples))
         probes = np.array([[r * math.cos(t), r * math.sin(t)] for r in (0.0, 0.5, 1.0, 1.5, 2.0) for t in (0.0, 1.6, 3.1, 4.7)])
-        estimate = knn_density(index, FeatureMatrix(probes), 50, 2)
+        estimate = knn_density(knn_distances(FeatureMatrix(samples), FeatureMatrix(probes), 50), 5000, 2)
         truth = np.exp(-(probes**2).sum(axis=1) / 2.0) / (2.0 * math.pi)
         assert np.abs(estimate - truth).mean() < 0.05
 
@@ -235,43 +229,40 @@ class TestKnnDensity:
 
 
 class TestSupportValidity:
-    def _calibration(self, index, pts, k):
-        return knn_distances(index, pts, k, exclude_self=True)[:, k - 1]
+    def _calibration(self, pts, k):
+        return knn_distances(pts, pts, k, exclude_self=True)[:, k - 1]
 
     def test_coincident_candidate_full_support(self):
         rng = np.random.default_rng(2)
         pts = FeatureMatrix(rng.normal(size=(60, 2)))
-        index = NeighborIndex(pts)
-        calib = self._calibration(index, pts, 5)
+        calib = self._calibration(pts, 5)
         # candidate sits exactly on the most tightly packed real point, so
         # its k-th real-neighbor distance is below the calibration median
         center = pts.values[int(np.argmin(calib))]
-        b = support_validity(index, FeatureMatrix(center[None, :]), 5, calib)
+        b = support_validity(knn_distances(pts, FeatureMatrix(center[None, :]), 5), calib)
         assert b[0] == 1.0
 
     def test_far_candidate_goes_to_zero(self):
         rng = np.random.default_rng(3)
         pts = FeatureMatrix(rng.normal(size=(50, 2)))
-        index = NeighborIndex(pts)
-        calib = self._calibration(index, pts, 5)
-        b = support_validity(index, FeatureMatrix(np.array([[1e6, 1e6]])), 5, calib)
+        calib = self._calibration(pts, 5)
+        b = support_validity(knn_distances(pts, FeatureMatrix(np.array([[1e6, 1e6]])), 5), calib)
         assert b[0] == 0.0
 
     def test_identical_reals_floor_gives_zero_not_nan(self):
         pts = FeatureMatrix(np.zeros((6, 2)))
-        index = NeighborIndex(pts)
-        calib = self._calibration(index, pts, 2)
-        b = support_validity(index, FeatureMatrix(np.array([[1.0, 0.0]])), 2, calib)
+        calib = self._calibration(pts, 2)
+        b = support_validity(knn_distances(pts, FeatureMatrix(np.array([[1.0, 0.0]])), 2), calib)
         assert np.isfinite(b[0]) and b[0] == 0.0
 
     def test_monotone_in_distance(self):
         rng = np.random.default_rng(4)
         pts = FeatureMatrix(rng.normal(size=(80, 2)))
-        index = NeighborIndex(pts)
-        calib = self._calibration(index, pts, 5)
+        calib = self._calibration(pts, 5)
         line = FeatureMatrix(np.column_stack([np.linspace(0, 20, 30), np.zeros(30)]))
-        b = support_validity(index, line, 5, calib)
-        d_k = knn_distances(index, line, 5)[:, 4]
+        dists = knn_distances(pts, line, 5)
+        b = support_validity(dists, calib)
+        d_k = dists[:, 4]
         order = np.argsort(d_k)
         assert np.all(np.diff(b[order]) <= 1e-15)
         assert np.all((b >= 0) & (b <= 1))
@@ -279,7 +270,7 @@ class TestSupportValidity:
     def test_empty_calibration_rejected(self):
         pts = FeatureMatrix(np.ones((3, 2)))
         with pytest.raises(ValidationError):
-            support_validity(NeighborIndex(pts), pts, 1, [])
+            support_validity(knn_distances(pts, pts, 1), [])
 
 
 class TestSimilarity:

@@ -8,8 +8,7 @@ from libags.errors import DivergenceError, ValidationError
 from libags.model import (
     LogisticModel,
     RffEncoder,
-    cross_entropy_gradient,
-    cross_entropy_loss,
+    cross_entropy,
     fit_logistic,
     fit_logistic_soft,
     load_model,
@@ -137,13 +136,13 @@ class TestGradient:
             up, down = W.copy(), W.copy()
             up[idx] += step
             down[idx] -= step
-            gW[idx] = (cross_entropy_loss(up, b, X, T, l2) - cross_entropy_loss(down, b, X, T, l2)) / (2 * step)
+            gW[idx] = (cross_entropy(up, b, X, T, l2)[0] - cross_entropy(down, b, X, T, l2)[0]) / (2 * step)
         gb = np.zeros_like(b)
         for i in range(b.size):
             up, down = b.copy(), b.copy()
             up[i] += step
             down[i] -= step
-            gb[i] = (cross_entropy_loss(W, up, X, T, l2) - cross_entropy_loss(W, down, X, T, l2)) / (2 * step)
+            gb[i] = (cross_entropy(W, up, X, T, l2)[0] - cross_entropy(W, down, X, T, l2)[0]) / (2 * step)
         return gW, gb
 
     @pytest.mark.parametrize("soft_targets", [False, True])
@@ -154,7 +153,7 @@ class TestGradient:
         T = rng.dirichlet(np.ones(K), size=n) if soft_targets else one_hot(rng.integers(0, K, n), K)
         W = rng.normal(size=(K, d))
         b = rng.normal(size=K)
-        gW, gb = cross_entropy_gradient(W, b, X, T, 1e-3)
+        _, gW, gb = cross_entropy(W, b, X, T, 1e-3)
         fW, fb = self._finite_difference(W, b, X, T, 1e-3)
         num = np.linalg.norm(gW - fW) + np.linalg.norm(gb - fb)
         den = max(np.linalg.norm(fW) + np.linalg.norm(fb), 1e-12)

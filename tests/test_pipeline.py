@@ -81,7 +81,7 @@ class TestRunSelection:
         original = pipeline_module.greedy_select
 
         def counting(*args, **kwargs):
-            calls.append(args[4])
+            calls.append(kwargs["eta"])
             return original(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "greedy_select", counting)
@@ -89,12 +89,28 @@ class TestRunSelection:
         assert calls == [None]
         assert 0 < report.m_hat and report.eta > 0
 
-        def two_pass(values, kernel, features, regions, eta, max_budget=None, similarity=None):
+        def two_pass(values, similarity, regions, eta, max_budget=None):
             assert eta is None
-            return two_pass_selection(values, kernel, features, regions, max_budget=max_budget, similarity=similarity)[0]
+            return two_pass_selection(values, similarity, regions, max_budget=max_budget)[0]
 
         monkeypatch.setattr(pipeline_module, "greedy_select", two_pass)
         assert report.to_json() == run_selection(train, pool, config).to_json()
+
+    def test_density_and_support_share_one_knn_query(self, monkeypatch):
+        import libags.pipeline as pipeline_module
+
+        train, _, pool = make_two_moons(120, 0.3, 0.55, 3)
+        calls = []
+        original = pipeline_module.knn_distances
+
+        def counting(reference, query, k, exclude_self=False):
+            calls.append((query.n_rows, exclude_self))
+            return original(reference, query, k, exclude_self)
+
+        monkeypatch.setattr(pipeline_module, "knn_distances", counting)
+        report = run_selection(train, pool, tiny_config(seed=3))
+        assert report.m_hat > 0
+        assert calls == [(train.n_rows, True), (pool.n_rows, False)]
 
     @pytest.mark.parametrize("case", ["two-moons", "gaussian-d64"])
     def test_certified_distances_match_direct_formula_report(self, case, monkeypatch):
@@ -115,8 +131,8 @@ class TestRunSelection:
         report = run_selection(real, pool, config, external_proba=external)
         assert report.m_hat > 0
 
-        def oracle_knn(index, query, k, exclude_self=False):
-            return direct_knn_distances(index.points.values, query.values, k, exclude_self)
+        def oracle_knn(reference, query, k, exclude_self=False):
+            return direct_knn_distances(reference.values, query.values, k, exclude_self)
 
         monkeypatch.setattr(pipeline_module, "knn_distances", oracle_knn)
         monkeypatch.setattr(pipeline_module, "median_knn_distance", expansion_median_knn_distance)
@@ -192,7 +208,7 @@ class TestTrainFinal:
         report = run_selection(real, pool, config, external_proba=(proba_real, one_hot(pool.proposed_labels, 2)))
         assert report.m_hat == 0
         final = train_final(real, report, pool, config)
-        erm = fit_logistic(real.features, real.labels, 2, config.l2, config.epochs, config.lr, config.seed)
+        erm = fit_logistic(real.features, real.labels, 2, config.l2, config.epochs, config.lr)
         np.testing.assert_allclose(final.weights, erm.weights, atol=1e-9)
         np.testing.assert_allclose(final.bias, erm.bias, atol=1e-9)
 

@@ -38,12 +38,12 @@ def naive_greedy(values, sim, regions, eta, max_budget=None):
     return selected, gains
 
 
-def two_pass_selection(values, kernel, features, regions, max_budget=None, similarity=None):
+def two_pass_selection(values, similarity, regions, max_budget=None):
     """Reference for learned-eta selection: exhaustive pilot, knee, thresholded rerun."""
-    pilot = greedy_select(values, kernel, features, regions, 0.0, max_budget=max_budget, similarity=similarity)
+    pilot = greedy_select(values, similarity, regions, 0.0, max_budget=max_budget)
     curve = [g.combined_gain for g in pilot.gains_log]
     eta = select_eta(curve) if curve else 0.0
-    return greedy_select(values, kernel, features, regions, eta, max_budget=max_budget, similarity=similarity), curve
+    return greedy_select(values, similarity, regions, eta, max_budget=max_budget), curve
 
 
 def assert_same_state(got, want):
@@ -56,15 +56,14 @@ def assert_same_state(got, want):
     assert got.stop_reason == want.stop_reason
 
 
-def initial_combined_gains(values, kernel, features, regions, similarity=None):
+def initial_combined_gains(values, similarity, regions):
     """Per-candidate combined gain at the empty selection."""
     values = np.asarray(values, dtype=np.float64)
-    S = similarity_matrix(kernel, features) if similarity is None else similarity
     cover = np.zeros(values.size)
     gains = np.empty(values.size)
     for j in range(values.size):
         region = regions.assignment[j]
-        facility = float(np.sum(values * np.maximum(S[:, j] - cover, 0.0)))
+        facility = float(np.sum(values * np.maximum(similarity[:, j] - cover, 0.0)))
         gains[j] = facility + marginal_gain(regions.r_region[region], regions.c[region], 0)
     return gains
 
@@ -138,7 +137,7 @@ class TestBuildRegions:
         monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
         for table, (R, X, K) in zip(got, cases):
             want = build_regions(FeatureMatrix(R), FeatureMatrix(X), np.arange(len(X)) % 7 / 7.0, K, 5)
-            for name in ("assignment", "c", "t", "r_region", "centroids"):
+            for name in ("assignment", "c", "r_region", "centroids"):
                 assert np.array_equal(getattr(table, name), getattr(want, name)), name
 
     def test_single_region_counts_all_reals(self):
@@ -238,7 +237,7 @@ class TestGreedySelect:
         feats = FeatureMatrix(np.random.default_rng(0).normal(size=(8, 2)))
         regions = build_regions(feats, feats, np.zeros(8), 2, 0)
         regions.r_region[:] = 0.0
-        state = greedy_select(np.zeros(8), KernelSpec(1.0), feats, regions, 0.0)
+        state = greedy_select(np.zeros(8), similarity_matrix(KernelSpec(1.0), feats), regions, 0.0)
         assert state.selected == []
 
     def test_duplicate_candidate_facility_gain_zero(self):
@@ -246,7 +245,7 @@ class TestGreedySelect:
         feats = FeatureMatrix(pts)
         values = np.array([1.0, 1.0, 0.8])
         regions = build_regions(feats, feats, values, 1, 0)
-        state = greedy_select(values, KernelSpec(0.5), feats, regions, 0.0, max_budget=3)
+        state = greedy_select(values, similarity_matrix(KernelSpec(0.5), feats), regions, 0.0, max_budget=3)
         steps = {g.candidate: g for g in state.gains_log}
         assert 0 in steps and 1 in steps
         assert steps[1].facility_gain == 0.0
@@ -258,7 +257,7 @@ class TestGreedySelect:
             sim = similarity_matrix(kern, feats)
             eta = float(rng.choice([0.0, 0.01, 0.1, 0.5]))
             budget = int(rng.integers(1, values.size + 1)) if rng.random() < 0.5 else None
-            state = greedy_select(values, kern, feats, regions, eta, max_budget=budget, similarity=sim)
+            state = greedy_select(values, sim, regions, eta, max_budget=budget)
             ref_selected, ref_gains = naive_greedy(values, sim, regions, eta, budget)
             assert state.selected == ref_selected
             for step, (combined, fac, reg) in zip(state.gains_log, ref_gains):
@@ -270,7 +269,7 @@ class TestGreedySelect:
         rng = np.random.default_rng(6)
         values, kern, feats, regions = random_instance(rng)
         sim = similarity_matrix(kern, feats)
-        state = greedy_select(values, kern, feats, regions, 0.0, similarity=sim)
+        state = greedy_select(values, sim, regions, 0.0)
         fvals = [facility_value(values, sim, state.selected[: i + 1]) for i in range(len(state.selected))]
         assert all(b >= a - 1e-12 for a, b in zip(fvals, fvals[1:]))
 
@@ -297,7 +296,7 @@ class TestGreedySelect:
         for _ in range(20):
             values, kern, feats, regions = random_instance(rng, max_m=40)
             sim = similarity_matrix(kern, feats)
-            state = greedy_select(values, kern, feats, regions, 0.0, similarity=sim)
+            state = greedy_select(values, sim, regions, 0.0)
             for step in state.gains_log:
                 bound = float(np.sum(values * sim[:, step.candidate]))
                 assert step.facility_gain <= bound + 1e-9
@@ -313,7 +312,7 @@ class TestGreedySelect:
             sim = similarity_matrix(kern, feats)
             regions = build_regions(feats, feats, np.zeros(M), 1, 0)
             regions.r_region[:] = 0.0  # pure coverage objective
-            state = greedy_select(values, kern, feats, regions, 0.0, max_budget=budget, similarity=sim)
+            state = greedy_select(values, sim, regions, 0.0, max_budget=budget)
             best = max(facility_value(values, sim, c) for c in itertools.combinations(range(M), budget))
             achieved = facility_value(values, sim, state.selected)
             assert achieved >= (1.0 - 1.0 / np.e) * best - 1e-9
@@ -324,7 +323,7 @@ class TestGreedySelect:
             values, kern, feats, regions = random_instance(rng)
             sim = similarity_matrix(kern, feats)
             eta = float(rng.uniform(0.01, 0.3))
-            state = greedy_select(values, kern, feats, regions, eta, similarity=sim)
+            state = greedy_select(values, sim, regions, eta)
             for step in state.gains_log:
                 assert step.combined_gain >= eta
             if state.stop_reason == "threshold":
@@ -347,14 +346,14 @@ class TestGreedySelect:
         feats = FeatureMatrix(pts)
         values = np.append(np.full(10, 1.0), 0.0)
         regions = build_regions(feats, feats, np.append(np.full(10, 0.5), 0.0), 3, 0)
-        state = greedy_select(values, KernelSpec(0.8), feats, regions, eta=0.05)
+        state = greedy_select(values, similarity_matrix(KernelSpec(0.8), feats), regions, eta=0.05)
         assert 10 not in state.selected
 
     def test_negative_values_rejected(self):
         feats = FeatureMatrix(np.ones((3, 2)))
         regions = build_regions(feats, feats, np.ones(3), 1, 0)
         with pytest.raises(ValidationError):
-            greedy_select(np.array([0.5, -0.1, 0.2]), KernelSpec(1.0), feats, regions, 0.0)
+            greedy_select(np.array([0.5, -0.1, 0.2]), similarity_matrix(KernelSpec(1.0), feats), regions, 0.0)
 
 
 class TestInitialCombinedGains:
@@ -362,13 +361,13 @@ class TestInitialCombinedGains:
         rng = np.random.default_rng(12)
         values, kern, feats, regions = random_instance(rng, max_m=30)
         sim = similarity_matrix(kern, feats)
-        gains = initial_combined_gains(values, kern, feats, regions, similarity=sim)
+        gains = initial_combined_gains(values, sim, regions)
         for j in range(values.size):
             region = regions.assignment[j]
             fac = float(np.sum(values * np.maximum(sim[:, j] - 0.0, 0.0)))
             reg = regions.r_region[region] / (regions.c[region] * (regions.c[region] + 1.0))
             assert gains[j] == fac + reg
-        first = greedy_select(values, kern, feats, regions, 0.0, max_budget=1, similarity=sim).gains_log[0]
+        first = greedy_select(values, sim, regions, 0.0, max_budget=1).gains_log[0]
         assert first.candidate == int(gains.argmax())
         assert first.combined_gain == gains.max()
 
@@ -392,8 +391,8 @@ class TestLearnedEta:
             values, kern, feats, regions = make(rng)
             sim = similarity_matrix(kern, feats)
             budget = int(rng.integers(1, values.size + 1)) if rng.random() < 0.5 else None
-            want, curve = two_pass_selection(values, kern, feats, regions, max_budget=budget, similarity=sim)
-            got = greedy_select(values, kern, feats, regions, None, max_budget=budget, similarity=sim)
+            want, curve = two_pass_selection(values, sim, regions, max_budget=budget)
+            got = greedy_select(values, sim, regions, None, max_budget=budget)
             assert_same_state(got, want)
             cut = bool(curve) and curve[-1] <= curve[0] * ETA_DYNAMIC_RANGE
             paths["cut" if cut else "full curve"] += 1
@@ -411,8 +410,8 @@ class TestLearnedEta:
         regions.r_region[:] = 1e-14
         sim = similarity_matrix(KernelSpec(1.0), feats)
         for budget, reason in ((None, "exhausted"), (6, "budget"), (2, "budget")):
-            want, curve = two_pass_selection(values, KernelSpec(1.0), feats, regions, max_budget=budget, similarity=sim)
-            got = greedy_select(values, KernelSpec(1.0), feats, regions, None, max_budget=budget, similarity=sim)
+            want, curve = two_pass_selection(values, sim, regions, max_budget=budget)
+            got = greedy_select(values, sim, regions, None, max_budget=budget)
             assert_same_state(got, want)
             assert got.eta == 0.0
             assert got.stop_reason == reason
@@ -427,8 +426,9 @@ class TestLearnedEta:
         values = np.append([5.0, 0.01, 0.01, 0.01], np.full(6, 1e-13))
         regions = build_regions(feats, feats, np.ones(10), 2, 0)
         regions.r_region[:] = 0.0
-        want, curve = two_pass_selection(values, KernelSpec(1.0), feats, regions)
-        got = greedy_select(values, KernelSpec(1.0), feats, regions, None)
+        sim = similarity_matrix(KernelSpec(1.0), feats)
+        want, curve = two_pass_selection(values, sim, regions)
+        got = greedy_select(values, sim, regions, None)
         assert_same_state(got, want)
         assert got.selected == [0, 1, 2, 3] and got.eta == 0.01
         assert got.stop_reason == "threshold"
@@ -438,15 +438,16 @@ class TestLearnedEta:
         feats = FeatureMatrix(rng.normal(size=(12, 2)))
         regions = build_regions(feats, feats, rng.uniform(0.1, 1.0, 12), 4, 0)
         values = np.zeros(12)
+        sim = similarity_matrix(KernelSpec(0.5), feats)
         # region terms alone still give a curve with a knee
-        want, _ = two_pass_selection(values, KernelSpec(0.5), feats, regions)
-        got = greedy_select(values, KernelSpec(0.5), feats, regions, None)
+        want, _ = two_pass_selection(values, sim, regions)
+        got = greedy_select(values, sim, regions, None)
         assert_same_state(got, want)
         assert got.selected
         # with no region importance either, nothing has positive gain
         regions.r_region[:] = 0.0
-        want, _ = two_pass_selection(values, KernelSpec(0.5), feats, regions)
-        got = greedy_select(values, KernelSpec(0.5), feats, regions, None)
+        want, _ = two_pass_selection(values, sim, regions)
+        got = greedy_select(values, sim, regions, None)
         assert_same_state(got, want)
         assert got.selected == [] and got.eta == 0.0 and got.objective == 0.0
         assert got.stop_reason == "threshold"
