@@ -25,7 +25,6 @@ from .geometry import (
     knn_density,
     knn_distances,
     median_knn_distance,
-    median_pairwise_distance,
     similarity_matrix,
     support_validity,
     unit_ball_volume,
@@ -76,7 +75,6 @@ __all__ = [
     "make_two_moons",
     "marginal_gain",
     "median_knn_distance",
-    "median_pairwise_distance",
     "one_hot",
     "predict_proba",
     "rff_encode",

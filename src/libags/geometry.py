@@ -7,12 +7,12 @@ the right trade at the few-thousand-candidate scale this package targets
 
 Every pairwise distance matrix comes from ``sq_distances``, the expansion
 ||a||^2 + ||b||^2 - 2 a.b evaluated with one matrix product. The
-bandwidth heuristics and the similarity kernel use it as is. Nearest-
-neighbor answers (``knn_distances`` and the k-means assignment) must
-equal those of the direct differences formula sum((a - b)^2) bit for
-bit, so ``nearest`` screens with the expansion, bounds its rounding
-error, and recomputes with the direct formula only the pairs that the
-bound cannot settle.
+kernel bandwidth and the similarity kernel use it as is, and the kernel
+overwrites it with the similarities. Nearest-neighbor answers
+(``knn_distances`` and the k-means assignment) must equal those of the
+direct differences formula sum((a - b)^2) bit for bit, so ``nearest``
+screens with the expansion, bounds its rounding error, and recomputes
+with the direct formula only the pairs that the bound cannot settle.
 
 The kNN statistics are functions of one query's distances: the pipeline
 asks ``knn_distances`` once for the candidates' distances to the real
@@ -278,41 +278,20 @@ def support_validity(distances, calibration) -> np.ndarray:
 def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None) -> np.ndarray:
     """Full pairwise similarity matrix with exact unit diagonal.
 
-    ``sq_dists`` may carry ``sq_distances(features.values)`` to share it
-    with the bandwidth heuristics; it is left unchanged.
+    ``sq_dists`` may carry ``sq_distances(features.values)``; it is
+    consumed: its entries are overwritten with the similarities and the
+    same array is returned, so the kernel stage holds one M x M array.
     """
-    d2 = sq_distances(features.values) if sq_dists is None else sq_dists
-    S = np.empty_like(d2)
+    S = sq_distances(features.values) if sq_dists is None else sq_dists
     scale = 2.0 * kernel.bandwidth**2
     rows = max(1, _BLOCK // S.shape[1])
     for start in range(0, S.shape[0], rows):
         block = S[start:start + rows]
-        np.negative(d2[start:start + rows], out=block)
+        np.negative(block, out=block)
         block /= scale
         np.exp(block, out=block)
     np.fill_diagonal(S, 1.0)
     return S
-
-
-def median_pairwise_distance(features: FeatureMatrix, sq_dists=None) -> float:
-    """Median heuristic bandwidth: the median off-diagonal pairwise distance.
-
-    ``sq_dists`` may carry ``sq_distances(features.values)``.
-    """
-    X = features.values
-    M = X.shape[0]
-    if M < 2:
-        return 1.0
-    d2 = sq_distances(X) if sq_dists is None else sq_dists
-    # The upper triangle row by row into one buffer: the order of
-    # d2[np.triu_indices(M, 1)] without its index arrays and gathered copy.
-    upper = np.empty(M * (M - 1) // 2)
-    start = 0
-    for i in range(M - 1):
-        upper[start : start + M - 1 - i] = d2[i, i + 1 :]
-        start += M - 1 - i
-    np.sqrt(upper, out=upper)
-    return max(float(np.median(upper, overwrite_input=True)), SUPPORT_SIGMA_FLOOR)
 
 
 def median_knn_distance(features: FeatureMatrix, k: int, sq_dists=None) -> float:

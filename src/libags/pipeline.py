@@ -27,11 +27,11 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, knn_density, knn_distances, median_knn_distance, median_pairwise_distance, similarity_matrix, sq_distances, support_validity
+from .geometry import KernelSpec, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
-from .select import build_regions, greedy_select
+from .select import ETA_DYNAMIC_RANGE, build_regions, greedy_select
 
 REPORT_FORMAT = "libags-report/1"
 
@@ -53,7 +53,7 @@ def _is_number(value) -> bool:
 class PipelineConfig:
     tau_quantile: float = 0.1
     knn_k: int = 10
-    kernel_bandwidth: object = "median-knn"  # "median-knn", "median", or a positive float
+    kernel_bandwidth: object = "median-knn"  # "median-knn" or a positive float
     coverage_ratio: float = 10.0
     n_regions: object = "auto"  # "auto" or a positive int
     max_budget: object = "none"  # "none" or a positive int
@@ -76,12 +76,8 @@ class PipelineConfig:
             raise ValidationError(f"tau_quantile must lie in (0, 1), got {self.tau_quantile}")
         if self.knn_k < 1:
             raise ValidationError(f"knn_k must be at least 1, got {self.knn_k}")
-        if self.kernel_bandwidth not in ("median", "median-knn") and not (
-            _is_number(self.kernel_bandwidth) and self.kernel_bandwidth > 0
-        ):
-            raise ValidationError(
-                f"kernel_bandwidth must be 'median-knn', 'median', or a positive number, got {self.kernel_bandwidth!r}"
-            )
+        if self.kernel_bandwidth != "median-knn" and not (_is_number(self.kernel_bandwidth) and self.kernel_bandwidth > 0):
+            raise ValidationError(f"kernel_bandwidth must be 'median-knn' or a positive number, got {self.kernel_bandwidth!r}")
         if self.n_regions != "auto" and not (_is_int(self.n_regions) and self.n_regions >= 1):
             raise ValidationError(f"n_regions must be 'auto' or a positive integer, got {self.n_regions!r}")
         if self.max_budget != "none" and not (_is_int(self.max_budget) and self.max_budget >= 0):
@@ -252,17 +248,15 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     timings["regions"] = clock() - t0
 
     t0 = clock()
-    pool_sq = sq_distances(candidates.features.values)  # shared by the bandwidth and the kernel
+    pool_sq = sq_distances(candidates.features.values)
     if config.kernel_bandwidth == "median-knn":
-        # Near-duplicate scale: the typical k-th neighbor distance within
-        # the pool. The dataset-scale pairwise median makes every pair
-        # look similar, which saturates the coverage objective in one pick.
-        kernel = KernelSpec(median_knn_distance(candidates.features, config.knn_k, sq_dists=pool_sq))
-    elif config.kernel_bandwidth == "median":
-        kernel = KernelSpec(median_pairwise_distance(candidates.features, sq_dists=pool_sq))
+        # Near-duplicate scale: the typical k-th neighbor distance within the pool.
+        bandwidth = median_knn_distance(candidates.features, config.knn_k, sq_dists=pool_sq)
     else:
-        kernel = KernelSpec(float(config.kernel_bandwidth))
-    sim = similarity_matrix(kernel, candidates.features, sq_dists=pool_sq)
+        bandwidth = float(config.kernel_bandwidth)
+    # The kernel overwrites the pool distances, so one M x M array is held.
+    sim = similarity_matrix(KernelSpec(bandwidth), candidates.features, sq_dists=pool_sq)
+    del pool_sq
     timings["similarity"] = clock() - t0
 
     # One greedy pass learns eta as the flattening point of its own
@@ -279,6 +273,11 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         budget = None if config.max_budget == "none" else config.max_budget
         state = greedy_select(values, sim, regions, eta=None, max_budget=budget)
         eta = state.eta
+        if eta == 0.0 and state.selected:
+            warnings.append(
+                f"eta is 0: fewer than 3 greedy gains exceeded {ETA_DYNAMIC_RANGE:g} times the first, so every "
+                f"positive gain was accepted without a threshold; m_hat is {len(state.selected)} of {n_cand} candidates"
+            )
     timings["greedy"] = clock() - t0
 
     t0 = clock()

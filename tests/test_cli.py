@@ -126,6 +126,7 @@ BAD_CONFIGS = [
     '{"kernel_bandwidth": true}',
     '{"kernel_bandwidth": null}',
     '{"kernel_bandwidth": "wide"}',
+    '{"kernel_bandwidth": "median"}',
     '{"bogus": 1}',
     '[1, 2]',
     '{"epochs": ',

@@ -14,7 +14,6 @@ from libags.geometry import (
     knn_density,
     knn_distances,
     median_knn_distance,
-    median_pairwise_distance,
     nearest,
     similarity_matrix,
     sq_distances,
@@ -54,7 +53,7 @@ def gram(X):
         return X @ X.T
 
 
-def expansion_similarity_matrix(kernel, features, sq_dists=None):
+def expansion_similarity_matrix(kernel, features):
     """Expression-order oracle for similarity_matrix: full temporaries, no blocks."""
     X = features.values
     sq = (X * X).sum(axis=1)
@@ -66,7 +65,7 @@ def expansion_similarity_matrix(kernel, features, sq_dists=None):
     return S
 
 
-def expansion_median_knn_distance(features, k, sq_dists=None):
+def expansion_median_knn_distance(features, k):
     """Expression-order oracle for median_knn_distance: one full partition."""
     X = features.values
     if X.shape[0] < 2:
@@ -78,16 +77,6 @@ def expansion_median_knn_distance(features, k, sq_dists=None):
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
     return max(float(np.median(np.sqrt(kth))), 1e-9)
-
-
-def triu_median_pairwise_distance(features, sq_dists=None):
-    """Gather oracle for median_pairwise_distance: the upper triangle by index arrays."""
-    X = features.values
-    if X.shape[0] < 2:
-        return 1.0
-    d2 = sq_distances(X) if sq_dists is None else sq_dists
-    upper = d2[np.triu_indices(X.shape[0], k=1)]
-    return max(float(np.median(np.sqrt(upper))), 1e-9)
 
 
 def adversarial_sets(rng, d):
@@ -304,13 +293,13 @@ class TestSimilarity:
             feats = FeatureMatrix(rng.normal(size=(M, d)) + (1e4 if d == 4 else 0.0))
             kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
             want = expansion_similarity_matrix(kern, feats)
-            shared = sq_distances(feats.values)
-            kept = shared.copy()
             S = similarity_matrix(kern, feats)
             assert np.array_equal(S, want)
             assert np.array_equal(S, S.T)
-            assert np.array_equal(similarity_matrix(kern, feats, sq_dists=shared), want)
-            assert np.array_equal(shared, kept)
+            shared = sq_distances(feats.values)
+            # The pool distances are consumed: the result is that very array.
+            assert similarity_matrix(kern, feats, sq_dists=shared) is shared
+            assert np.array_equal(shared, want)
 
     def test_matrix_diagonal_and_range(self):
         rng = np.random.default_rng(6)
@@ -326,16 +315,12 @@ class TestSimilarity:
 
 
 class TestBandwidthHeuristics:
-    def test_median_pairwise_on_known_points(self):
-        feats = FeatureMatrix(np.array([[0.0], [1.0], [3.0]]))
-        # pairwise distances {1, 2, 3}, median 2
-        assert median_pairwise_distance(feats) == pytest.approx(2.0)
-
     def test_median_knn_smaller_than_pairwise_on_clustered_data(self):
         rng = np.random.default_rng(7)
         blobs = np.vstack([rng.normal(0, 0.05, size=(50, 2)), rng.normal(10, 0.05, size=(50, 2))])
         feats = FeatureMatrix(blobs)
-        assert median_knn_distance(feats, 5) < 0.1 * median_pairwise_distance(feats)
+        separation = math.hypot(10.0, 10.0)  # between the blob centres (0, 0) and (10, 10)
+        assert median_knn_distance(feats, 5) < 0.1 * separation
 
     def test_shared_matrix_gives_the_same_bandwidths(self):
         rng = np.random.default_rng(12)
@@ -346,28 +331,22 @@ class TestBandwidthHeuristics:
                 want = expansion_median_knn_distance(feats, k)
                 assert median_knn_distance(feats, k) == want
                 assert median_knn_distance(feats, k, sq_dists=shared) == want
-            assert median_pairwise_distance(feats, sq_dists=shared) == median_pairwise_distance(feats)
 
-    def test_median_pairwise_bit_identical_to_gathered_triangle(self):
-        rng = np.random.default_rng(13)
-        for M in (2, 3, 50, 501, 2000):
-            feats = FeatureMatrix(rng.normal(size=(M, 3)))
-            assert median_pairwise_distance(feats) == triu_median_pairwise_distance(feats)
-        ties = FeatureMatrix(np.repeat(np.arange(6.0), 3)[:, None])  # an even count of tied distances
-        assert median_pairwise_distance(ties) == triu_median_pairwise_distance(ties)
-
-    def test_median_pairwise_needs_one_triangle_buffer(self):
+    def test_kernel_stage_holds_one_pool_matrix(self):
+        # The kernel stage as run_selection runs it: one pool matrix, read
+        # by the bandwidth and then turned into the similarity matrix.
         M = 1500
         feats = FeatureMatrix(np.random.default_rng(14).normal(size=(M, 8)))
-        shared = sq_distances(feats.values)
         tracemalloc.start()
         try:
-            median_pairwise_distance(feats, sq_dists=shared)
+            pool_sq = sq_distances(feats.values)
+            kernel = KernelSpec(median_knn_distance(feats, 10, sq_dists=pool_sq))
+            S = similarity_matrix(kernel, feats, sq_dists=pool_sq)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        triangle = M * (M - 1) // 2 * 8
-        assert peak < 1.1 * triangle  # the gather needed about 3x
+        assert S is pool_sq
+        assert peak < 1.1 * M * M * 8  # a separate similarity matrix needed about 2x
 
     def test_products_restore_the_blas_thread_count(self):
         if geometry._BLAS_THREADS is None:

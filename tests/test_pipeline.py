@@ -5,8 +5,10 @@ import pytest
 
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons
 from libags.errors import ValidationError
+from libags.geometry import KernelSpec, similarity_matrix
 from libags.model import fit_logistic, one_hot, predict_proba
 from libags.pipeline import PipelineConfig, REPORT_FORMAT, run_selection, train_final
+from libags.select import build_regions, greedy_select
 
 
 def tiny_config(**overrides):
@@ -135,11 +137,38 @@ class TestRunSelection:
             return direct_knn_distances(reference.values, query.values, k, exclude_self)
 
         monkeypatch.setattr(pipeline_module, "knn_distances", oracle_knn)
-        monkeypatch.setattr(pipeline_module, "median_knn_distance", expansion_median_knn_distance)
-        monkeypatch.setattr(pipeline_module, "similarity_matrix", expansion_similarity_matrix)
+        monkeypatch.setattr(pipeline_module, "median_knn_distance", lambda features, k, sq_dists: expansion_median_knn_distance(features, k))
+        monkeypatch.setattr(pipeline_module, "similarity_matrix", lambda kernel, features, sq_dists: expansion_similarity_matrix(kernel, features))
         monkeypatch.setattr(select_module, "_assign", direct_assign)
         monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
         assert report.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
+
+    def test_float_bandwidth_selects_under_that_kernel(self):
+        train, _, pool = make_two_moons(120, 0.3, 0.55, 3)
+        config = tiny_config(seed=3, n_regions=8, kernel_bandwidth=0.05)
+        report = run_selection(train, pool, config)
+        r = np.array([s.importance for s in report.scores])
+        values = np.array([s.value for s in report.scores])
+        regions = build_regions(train.features, pool.features, r, 8, 3)
+        want = greedy_select(values, similarity_matrix(KernelSpec(0.05), pool.features), regions)
+        assert report.m_hat > 0
+        assert report.selected == want.selected
+        assert report.eta == want.eta
+        assert report.gains_log == want.gains_log
+        assert report.selected != run_selection(train, pool, config.replace(kernel_bandwidth="median-knn")).selected
+
+    def test_knee_less_pass_warns_instead_of_selecting_the_pool_silently(self):
+        # Features scaled by 1e3 saturate the scoring fit: one candidate
+        # takes a gain of 60 and the other two about 1e-299, so the knee
+        # search sees fewer than 3 gains and eta falls back to 0.
+        rng = np.random.default_rng(20)
+        real = LabeledDataset(FeatureMatrix(rng.normal(size=(6, 1)) * 1e3), rng.integers(0, 2, 6), 2)
+        pool = CandidatePool(FeatureMatrix(rng.normal(size=(3, 1)) * 1e3), rng.integers(0, 2, 3), (), 2)
+        report = run_selection(real, pool, PipelineConfig(epochs=300))
+        assert report.eta == 0.0 and report.m_hat == 3
+        assert len(report.warnings) == 1
+        assert report.warnings[0].startswith("eta is 0:")
+        assert "m_hat is 3 of 3 candidates" in report.warnings[0]
 
     def test_dimension_mismatch(self):
         real = LabeledDataset(FeatureMatrix(np.ones((4, 2))), np.array([0, 1, 0, 1]), 2)
