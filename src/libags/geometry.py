@@ -103,8 +103,17 @@ class KernelSpec:
     bandwidth: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValidationError(f"kernel bandwidth must be positive, got {self.bandwidth}")
+        if not usable_bandwidth(self.bandwidth):
+            raise ValidationError(f"kernel bandwidth must be positive with 2*bandwidth**2 a finite positive float, got {self.bandwidth}")
+
+
+def usable_bandwidth(bandwidth) -> bool:
+    """Whether ``bandwidth`` is positive and ``2 * bandwidth**2``, the kernel's divisor, is a finite positive float."""
+    try:
+        scale = 2.0 * float(bandwidth) ** 2
+    except OverflowError:
+        return False
+    return bandwidth > 0 and 0.0 < scale < math.inf
 
 
 def sq_distances(A, B=None) -> np.ndarray:

@@ -75,9 +75,52 @@ class LogisticModel:
         return self.weights.shape[0]
 
 
+def _pairwise_sum(columns):
+    """Elementwise sum of equal-length arrays, added in the order of numpy's pairwise ``sum``.
+
+    For fewer than 8 terms that order is left to right; from 8 terms on
+    it is eight running sums combined as a tree, split in halves above 128
+    terms. ``_pairwise_sum`` of a matrix's columns is therefore bit for
+    bit its ``sum(axis=1)``.
+    """
+    n = len(columns)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
+    if n < 8:
+        total = columns[0]
+        for column in columns[1:]:
+            total = total + column
+        return total
+    stop = n - n % 8
+    acc = list(columns[:8])
+    for start in range(8, stop, 8):
+        acc = [a + column for a, column in zip(acc, columns[start:start + 8])]
+    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for column in columns[stop:]:
+        total = total + column
+    return total
+
+
 def _log_softmax(logits):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    """Row-wise log-softmax of an (n, K) logit matrix, shifted by the row maximum.
+
+    The row maximum and the row sum of the exponentials run over the K
+    class columns, a maximum chained from class 0 up and the sum in
+    ``_pairwise_sum``'s order, which is left to right from class 0 for
+    K < 8. That costs O(K) numpy calls on length-n columns, far cheaper
+    for a few classes than a reduction along axis 1, and gives the same
+    bits as ``max(axis=1)`` and ``sum(axis=1)``. ``exp`` runs once on
+    the whole matrix.
+    """
+    columns = [logits[:, k] for k in range(logits.shape[1])]
+    peak = columns[0]
+    for column in columns[1:]:
+        peak = np.maximum(peak, column)
+    shifted = logits - peak[:, None]
+    exp = np.exp(shifted)
+    total = _pairwise_sum([exp[:, k] for k in range(exp.shape[1])])
+    return shifted - np.log(total)[:, None]
 
 
 def predict_proba(model: LogisticModel, features: FeatureMatrix) -> np.ndarray:

@@ -27,7 +27,7 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity
+from .geometry import KernelSpec, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, usable_bandwidth
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
@@ -76,8 +76,11 @@ class PipelineConfig:
             raise ValidationError(f"tau_quantile must lie in (0, 1), got {self.tau_quantile}")
         if self.knn_k < 1:
             raise ValidationError(f"knn_k must be at least 1, got {self.knn_k}")
-        if self.kernel_bandwidth != "median-knn" and not (_is_number(self.kernel_bandwidth) and self.kernel_bandwidth > 0):
-            raise ValidationError(f"kernel_bandwidth must be 'median-knn' or a positive number, got {self.kernel_bandwidth!r}")
+        if self.kernel_bandwidth != "median-knn" and not (_is_number(self.kernel_bandwidth) and usable_bandwidth(self.kernel_bandwidth)):
+            raise ValidationError(
+                f"kernel_bandwidth must be 'median-knn' or a positive number with 2*bandwidth**2 a finite positive float, "
+                f"got {self.kernel_bandwidth!r}"
+            )
         if self.n_regions != "auto" and not (_is_int(self.n_regions) and self.n_regions >= 1):
             raise ValidationError(f"n_regions must be 'auto' or a positive integer, got {self.n_regions!r}")
         if self.max_budget != "none" and not (_is_int(self.max_budget) and self.max_budget >= 0):
@@ -197,6 +200,12 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         raise ValidationError("need at least 2 real rows")
     n_real = real.n_rows
     n_cand = candidates.n_rows
+    with np.errstate(over="ignore"):
+        peak_sq = max(float(np.square(m.values).sum(axis=1).max(initial=0.0)) for m in (real.features, candidates.features))
+    # 4 * peak_sq bounds every pairwise squared distance; the k-means++
+    # seeding also sums one such distance per candidate.
+    if not math.isfinite(4.0 * peak_sq * n_cand):
+        raise ValidationError(f"features too large: squared distances between rows overflow (largest squared row norm {peak_sq:g})")
     warnings: list = []
     timings: dict = {}
     clock = time.perf_counter

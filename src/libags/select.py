@@ -6,6 +6,10 @@ diminishing-returns term that tracks how many synthetic samples each
 region has already received. Both gain components shrink as the
 selection grows (F by submodularity, the region term by construction),
 which is what makes lazy evaluation with stale heap bounds exact.
+Each heap bound keeps its two parts apart (Minoux's lazy greedy applied
+per term): a pick that only lowers a candidate's region term refreshes
+its bound from the per-region gain at no cost, and only a stale facility
+part costs a pass over a similarity row.
 
 Selection stops when the best remaining combined gain drops below the
 threshold ``eta`` or stops being strictly positive. By default ``eta``
@@ -17,6 +21,7 @@ rather than fixed up front.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +63,7 @@ class SelectionState:
     region_counts: np.ndarray
     objective: float
     stop_reason: str
+    evaluations: int = 0  # facility-gain passes over a similarity row
 
 
 def _kmeans_pp_init(X, k, rng):
@@ -156,20 +162,25 @@ def select_eta(sorted_gains_desc) -> float:
     return float(positive[elbow])
 
 
-def _facility_gain(sim_row, cover, values) -> float:
-    """Marginal coverage gain of one candidate given the current cover."""
-    return float(np.sum(values * np.maximum(sim_row - cover, 0.0)))
-
-
 def greedy_select(values, similarity, regions: RegionTable, eta: float | None = None, max_budget=None) -> SelectionState:
     """Lazy greedy maximization of coverage value plus region gains.
 
     Accepts the candidate with the largest combined gain while that gain
     is strictly positive and at least ``eta``; ties break toward the
-    lower candidate index. Lazy re-evaluation is exact because every
-    stale heap entry is an upper bound on the current gain. The result
-    (sequence and logged gains) is identical to re-scoring every
-    candidate at every step.
+    lower candidate index. The result (sequence and logged gains) is
+    identical to re-scoring every candidate at every step.
+
+    Each heap entry bounds its candidate's gain by a facility part and a
+    region part, refreshed separately. A popped entry whose region part
+    is out of date goes back with the region's current gain and its old
+    facility part, which costs no pass over the similarity row; one
+    whose facility part is out of date is evaluated afresh; only an
+    entry that is current in both parts is accepted. The bounds stay
+    valid in floating point because the computed facility gain never
+    increases as the cover grows: the subtraction, the clamp at 0, the
+    product with nonnegative values, the pairwise sum and the final
+    addition all round monotonically. ``evaluations`` counts the
+    facility passes.
 
     ``eta=None`` learns the threshold in the same pass: the result is
     what an unthresholded pilot run followed by ``select_eta`` on its
@@ -185,27 +196,38 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     """
     values = np.asarray(values, dtype=np.float64)
     M = values.size
-    if np.any(values < 0):
+    if not np.all(values >= 0):  # NaN fails too
         raise ValidationError("candidate values must be nonnegative")
     if regions.assignment.shape != (M,):
         raise ValidationError("regions must cover exactly the candidate pool")
     budget = M if max_budget is None else min(int(max_budget), M)
+    assignment = regions.assignment.tolist()
     cover = np.zeros(M)
+    terms = np.empty(M)
     t = np.zeros(regions.n_regions, dtype=np.int64)
+    # Current region gain per region; marginal_gain rejects c <= 0 here, up front.
+    region_now = [float(marginal_gain(r_j, c_j, 0)) for r_j, c_j in zip(regions.r_region, regions.c)]
+    if any(math.isnan(gain) for gain in region_now):  # a NaN bound would never read as current
+        raise ValidationError("region gains must be numbers: r_region or c holds NaN")
     gains_log: list = []
     selected: list = []
+    evaluations = 0
 
-    def combined_gain(j):
-        region = regions.assignment[j]
-        facility = _facility_gain(similarity[j], cover, values)
-        region_g = marginal_gain(regions.r_region[region], regions.c[region], int(t[region]))
-        return facility, region_g, facility + region_g
+    def facility_gain(j):
+        """Marginal coverage gain of candidate j given the current cover."""
+        nonlocal evaluations
+        evaluations += 1
+        np.subtract(similarity[j], cover, out=terms)
+        np.maximum(terms, 0.0, out=terms)
+        np.multiply(terms, values, out=terms)
+        return float(terms.sum())
 
-    # Heap entries: (-combined, candidate, facility, region, n_selected at evaluation)
+    # Heap entries: (-(facility + region), candidate, facility, region, n_selected when facility was computed)
     heap = []
     for j in range(M):
-        facility, region_g, combined = combined_gain(j)
-        heap.append((-combined, j, facility, region_g, 0))
+        facility = facility_gain(j)
+        region_g = region_now[assignment[j]]
+        heap.append((-(facility + region_g), j, facility, region_g, 0))
     heapq.heapify(heap)
 
     def advance(threshold, floor=None):
@@ -218,19 +240,25 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
             if len(selected) >= budget:
                 return "budget"
             entry = heapq.heappop(heap)
-            neg_gain, j, facility, region_g, stamp = entry
-            if stamp != len(selected):
-                facility, region_g, combined = combined_gain(j)
-                heapq.heappush(heap, (-combined, j, facility, region_g, len(selected)))
+            neg_bound, j, facility, region_g, stamp = entry
+            current = region_now[assignment[j]]
+            if region_g != current:
+                heapq.heappush(heap, (-(facility + current), j, facility, current, stamp))
                 continue
-            best = -neg_gain
+            if stamp != len(selected):
+                facility = facility_gain(j)
+                heapq.heappush(heap, (-(facility + current), j, facility, current, len(selected)))
+                continue
+            best = -neg_bound
             if best < threshold or best <= 0.0:
                 return "threshold"
             if floor is not None and best <= floor:
                 heapq.heappush(heap, entry)
                 return "cut"
             selected.append(j)
-            t[regions.assignment[j]] += 1
+            region = assignment[j]
+            t[region] += 1
+            region_now[region] = float(marginal_gain(regions.r_region[region], regions.c[region], int(t[region])))
             np.maximum(cover, similarity[j], out=cover)
             gains_log.append(GainStep(len(selected), j, facility, region_g, best))
         return "exhausted"
@@ -258,4 +286,4 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
                     np.maximum(cover, similarity[j], out=cover)
 
     objective = float(np.sum(values * cover))
-    return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason)
+    return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason, evaluations)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from libags.cli import main
-from libags.data import CandidatePool, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
+from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
 
 
 @pytest.fixture()
@@ -127,6 +127,8 @@ BAD_CONFIGS = [
     '{"kernel_bandwidth": null}',
     '{"kernel_bandwidth": "wide"}',
     '{"kernel_bandwidth": "median"}',
+    '{"kernel_bandwidth": 1e200}',  # 2 * bandwidth**2 overflows
+    '{"kernel_bandwidth": 1e-300}',  # 2 * bandwidth**2 underflows to 0
     '{"bogus": 1}',
     '[1, 2]',
     '{"epochs": ',
@@ -140,6 +142,26 @@ def test_bad_config_exits_one_with_one_error_line(text, moon_files, tmp_path, ca
     config = tmp_path / "bad.json"
     config.write_bytes(text if isinstance(text, bytes) else text.encode())
     code = main(["select", "--real", str(real), "--candidates", str(cands), "--out", str(tmp_path / "r.json"), "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_features_whose_squared_distances_overflow_exit_one(tmp_path, capsys):
+    train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
+    train = LabeledDataset(FeatureMatrix(train.features.values * 1e160), train.labels, train.n_classes)
+    pool = CandidatePool(FeatureMatrix(pool.features.values * 1e160), pool.proposed_labels, pool.source_ids, pool.n_classes)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("real", "cands", "pr", "pc", "config")}
+    write_labeled_csv(paths["real"], train)
+    write_candidate_csv(paths["cands"], pool)
+    for name, rows in (("pr", train.n_rows), ("pc", pool.n_rows)):
+        paths[name].write_text("prob_0,prob_1\n" + "0.5,0.5\n" * rows)
+    paths["config"].write_text(json.dumps({"epochs": 50}))
+    code = main([
+        "select", "--real", str(paths["real"]), "--candidates", str(paths["cands"]), "--out", str(tmp_path / "r.json"),
+        "--config", str(paths["config"]), "--proba-real", str(paths["pr"]), "--proba-cand", str(paths["pc"]),
+    ])
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")

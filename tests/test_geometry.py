@@ -313,6 +313,12 @@ class TestSimilarity:
         with pytest.raises(ValidationError):
             KernelSpec(0.0)
 
+    @pytest.mark.parametrize("bandwidth", [1e200, np.float64(1e200), 1e-300, np.float64(1e-300), math.nan, math.inf])
+    def test_bandwidth_whose_scale_leaves_the_float_range_rejected(self, bandwidth):
+        # 2 * bandwidth**2 overflows (1e200) or underflows to 0 (1e-300)
+        with pytest.raises(ValidationError):
+            KernelSpec(bandwidth)
+
 
 class TestBandwidthHeuristics:
     def test_median_knn_smaller_than_pairwise_on_clustered_data(self):

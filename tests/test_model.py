@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import libags.model as model_module
 from libags.data import FeatureMatrix
 from libags.errors import DivergenceError, ValidationError
 from libags.model import (
     LogisticModel,
     RffEncoder,
+    _log_softmax,
     cross_entropy,
     fit_logistic,
     fit_logistic_soft,
@@ -158,6 +160,62 @@ class TestGradient:
         num = np.linalg.norm(gW - fW) + np.linalg.norm(gb - fb)
         den = max(np.linalg.norm(fW) + np.linalg.norm(fb), 1e-12)
         assert num / den < 1e-4
+
+
+def axis_log_softmax(logits):
+    """Log-softmax by reductions along axis 1: the oracle the class-column loops must match bit for bit."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def logit_cases(rng, K):
+    """(n, K) logits at several row counts and scales, with tied and saturated rows."""
+    cases = [rng.normal(size=(n, K)) * scale for n in (1, 7, 300) for scale in (0.1, 3.0, 100.0)]
+    tied = rng.normal(size=(40, K))
+    tied[:, -1] = tied[:, 0]
+    cases.append(tied)
+    cases.append(np.vstack([np.full(K, 5.0), np.append(800.0, np.zeros(K - 1))]))
+    return cases
+
+
+class TestLogSoftmax:
+    @pytest.mark.parametrize("K", [*range(2, 13), 129, 200])
+    def test_bit_identical_to_axis_reductions(self, K):
+        # K < 8 sums left to right; K >= 8 follows numpy's pairwise tree, split above 128
+        rng = np.random.default_rng(K)
+        for logits in logit_cases(rng, K):
+            assert np.array_equal(_log_softmax(logits), axis_log_softmax(logits))
+
+    @pytest.mark.parametrize("K", range(2, 13))
+    def test_cross_entropy_bit_identical_to_axis_reductions(self, K, monkeypatch):
+        rng = np.random.default_rng(100 + K)
+        n, d = 50, 6
+        X = rng.normal(size=(n, d))
+        T = rng.dirichlet(np.ones(K), size=n)
+        W = rng.normal(size=(K, d))
+        b = rng.normal(size=K)
+        got = cross_entropy(W, b, X, T, 1e-3)
+        monkeypatch.setattr(model_module, "_log_softmax", axis_log_softmax)
+        want = cross_entropy(W, b, X, T, 1e-3)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("n_classes, epochs", [(2, 2000), (3, 500)])
+    def test_fit_bit_identical_to_axis_reduction_trainer(self, n_classes, epochs, monkeypatch):
+        # the bench's shape: 240 encoded rows of 200 random features
+        rng = np.random.default_rng(n_classes)
+        raw = rng.normal(size=(240, 2))
+        x = rff_encode(RffEncoder.create(2, 200, 0.4, 0), FeatureMatrix(raw))
+        labels = np.digitize(raw[:, 0] + 0.3 * raw[:, 1], np.linspace(-1.0, 1.0, n_classes + 1)[1:-1])
+        got = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
+        monkeypatch.setattr(model_module, "_log_softmax", axis_log_softmax)
+        want = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
+        assert got.loss_curve == want.loss_curve
+        probs = predict_proba(got, x)
+        monkeypatch.undo()
+        assert np.array_equal(probs, predict_proba(got, x))
 
 
 class TestModelIo:

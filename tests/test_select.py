@@ -1,12 +1,23 @@
+import heapq
 import itertools
 
 import numpy as np
 import pytest
 
-from libags.data import FeatureMatrix
+from libags.data import FeatureMatrix, make_two_moons
 from libags.errors import ValidationError
-from libags.geometry import KernelSpec, similarity_matrix
-from libags.select import ETA_DYNAMIC_RANGE, _assign, build_regions, greedy_select, marginal_gain, select_eta
+from libags.geometry import KernelSpec, median_knn_distance, similarity_matrix
+from libags.pipeline import PipelineConfig, run_selection
+from libags.select import (
+    ETA_DYNAMIC_RANGE,
+    GainStep,
+    SelectionState,
+    _assign,
+    build_regions,
+    greedy_select,
+    marginal_gain,
+    select_eta,
+)
 
 
 def naive_greedy(values, sim, regions, eta, max_budget=None):
@@ -451,3 +462,147 @@ class TestLearnedEta:
         assert_same_state(got, want)
         assert got.selected == [] and got.eta == 0.0 and got.objective == 0.0
         assert got.stop_reason == "threshold"
+
+
+def full_reevaluation_greedy(values, similarity, regions, eta=None, max_budget=None):
+    """Reference lazy greedy: a stale entry re-evaluates both gain parts at once.
+
+    It counts its facility evaluations, so the split-bound selector can
+    be checked against it field by field and by evaluation count.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    M = values.size
+    budget = M if max_budget is None else min(int(max_budget), M)
+    cover = np.zeros(M)
+    t = np.zeros(regions.n_regions, dtype=np.int64)
+    gains_log: list = []
+    selected: list = []
+    evaluations = 0
+
+    def combined_gain(j):
+        nonlocal evaluations
+        evaluations += 1
+        region = regions.assignment[j]
+        facility = float(np.sum(values * np.maximum(similarity[j] - cover, 0.0)))
+        region_g = marginal_gain(regions.r_region[region], regions.c[region], int(t[region]))
+        return facility, region_g, facility + region_g
+
+    heap = []
+    for j in range(M):
+        facility, region_g, combined = combined_gain(j)
+        heap.append((-combined, j, facility, region_g, 0))
+    heapq.heapify(heap)
+
+    def advance(threshold, floor=None):
+        while heap:
+            if len(selected) >= budget:
+                return "budget"
+            entry = heapq.heappop(heap)
+            neg_gain, j, facility, region_g, stamp = entry
+            if stamp != len(selected):
+                facility, region_g, combined = combined_gain(j)
+                heapq.heappush(heap, (-combined, j, facility, region_g, len(selected)))
+                continue
+            best = -neg_gain
+            if best < threshold or best <= 0.0:
+                return "threshold"
+            if floor is not None and best <= floor:
+                heapq.heappush(heap, entry)
+                return "cut"
+            selected.append(j)
+            t[regions.assignment[j]] += 1
+            np.maximum(cover, similarity[j], out=cover)
+            gains_log.append(GainStep(len(selected), j, facility, region_g, best))
+        return "exhausted"
+
+    if eta is not None:
+        stop_reason = advance(eta)
+    else:
+        floor = -heap[0][0] * ETA_DYNAMIC_RANGE if heap else None
+        stop_reason = advance(0.0, floor)
+        eta = select_eta([g.combined_gain for g in gains_log]) if gains_log else 0.0
+        if eta == 0.0:
+            if stop_reason == "cut":
+                stop_reason = advance(0.0)
+        else:
+            keep = next((i for i, g in enumerate(gains_log) if g.combined_gain < eta), len(gains_log))
+            if keep < len(gains_log) or stop_reason == "cut":
+                stop_reason = "threshold"
+                del selected[keep:], gains_log[keep:]
+                cover[:] = 0.0
+                t[:] = 0
+                for j in selected:
+                    t[regions.assignment[j]] += 1
+                    np.maximum(cover, similarity[j], out=cover)
+
+    objective = float(np.sum(values * cover))
+    return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason, evaluations)
+
+
+def crowded_instance(rng):
+    """Many candidates per region and 90% zero values, so most stale bounds are stale in the region term only."""
+    M = int(rng.integers(20, 121))
+    feats = FeatureMatrix(rng.normal(size=(M, 2)))
+    values = rng.uniform(0.0, 1.0, M) * (rng.random(M) < 0.1)
+    if rng.random() < 0.1:
+        values[:] = 0.0
+    kern = KernelSpec(float(rng.uniform(0.05, 1.0)))
+    real = FeatureMatrix(rng.normal(size=(int(rng.integers(5, 30)), 2)))
+    regions = build_regions(real, feats, rng.uniform(0.0, 1.0, M), int(rng.integers(1, 5)), int(rng.integers(10**6)))
+    return values, similarity_matrix(kern, feats), regions
+
+
+class TestSplitBounds:
+    """The split-bound selector against the full re-evaluation oracle."""
+
+    def test_matches_full_reevaluation_on_random_instances(self):
+        rng = np.random.default_rng(17)
+        evaluations = {"split": 0, "full": 0}
+        stop_reasons = set()
+        all_zero = 0
+        for _ in range(100):
+            values, sim, regions = crowded_instance(rng)
+            all_zero += not values.any()
+            eta = None if rng.random() < 0.5 else float(rng.choice([0.0, 1e-3, 0.01, 0.1]))
+            budget = int(rng.integers(0, values.size + 1)) if rng.random() < 0.3 else None
+            got = greedy_select(values, sim, regions, eta, max_budget=budget)
+            want = full_reevaluation_greedy(values, sim, regions, eta, max_budget=budget)
+            assert_same_state(got, want)
+            assert got.evaluations <= want.evaluations
+            evaluations["split"] += got.evaluations
+            evaluations["full"] += want.evaluations
+            stop_reasons.add(got.stop_reason)
+        assert stop_reasons == {"budget", "threshold", "exhausted"}
+        assert all_zero > 0
+        # the region-only refresh fired: many stale bounds cost no facility pass
+        assert evaluations["split"] < 0.8 * evaluations["full"], evaluations
+
+    def test_two_moons_pool_needs_under_half_the_evaluations(self):
+        train, _, pool = make_two_moons(200, 0.3, 0.55, 0)
+        assert pool.n_rows >= 700
+        report = run_selection(train, pool, PipelineConfig(epochs=200, rff_dim=32))
+        values = np.array([s.value for s in report.scores])
+        r = np.array([s.importance for s in report.scores])
+        regions = build_regions(train.features, pool.features, r, 27, 0)
+        sim = similarity_matrix(KernelSpec(median_knn_distance(pool.features, 10)), pool.features)
+        got = greedy_select(values, sim, regions)
+        want = full_reevaluation_greedy(values, sim, regions)
+        assert_same_state(got, want)
+        assert got.selected == report.selected
+        assert got.evaluations < want.evaluations / 2, (got.evaluations, want.evaluations)
+
+    @pytest.mark.parametrize("field", ["values", "r_region", "c"])
+    def test_nan_input_rejected(self, field):
+        feats = FeatureMatrix(np.random.default_rng(20).normal(size=(6, 2)))
+        regions = build_regions(feats, feats, np.ones(6), 2, 0)
+        values = np.ones(6)
+        (values if field == "values" else getattr(regions, field))[1] = np.nan
+        with pytest.raises(ValidationError):
+            greedy_select(values, similarity_matrix(KernelSpec(1.0), feats), regions, None)
+
+    def test_nonpositive_coverage_rejected_up_front(self):
+        feats = FeatureMatrix(np.random.default_rng(19).normal(size=(6, 2)))
+        regions = build_regions(feats, feats, np.ones(6), 2, 0)
+        regions.c[1] = 0.0
+        with pytest.raises(ValidationError, match="coverage must be positive"):
+            greedy_select(np.ones(6), similarity_matrix(KernelSpec(1.0), feats), regions, 0.0, max_budget=0)
