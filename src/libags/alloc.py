@@ -34,10 +34,15 @@ class AllocationSolution:
 
 
 def _mass_at(log_lambda: float, log_r, coverage) -> tuple:
-    """Total allocated mass and per-candidate scores at exp(log_lambda)."""
-    scores = np.exp(0.5 * (log_r - log_lambda)) - coverage
-    np.maximum(scores, 0.0, out=scores)
-    return float(scores.sum()), scores
+    """Total allocated mass and per-candidate scores at exp(log_lambda).
+
+    An overflow to inf is left unwarned: the bisection reads an infinite
+    mass as above the target.
+    """
+    with np.errstate(over="ignore"):
+        scores = np.exp(0.5 * (log_r - log_lambda)) - coverage
+        np.maximum(scores, 0.0, out=scores)
+        return float(scores.sum()), scores
 
 
 def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:

@@ -318,9 +318,12 @@ def median_knn_distance(features: FeatureMatrix, k: int, sq_dists=None) -> float
     k = min(k, M - 1)
     d2 = sq_distances(X) if sq_dists is None else sq_dists
     kth = np.empty(M)
-    rows = max(1, _BLOCK // M)
+    rows = min(M, max(1, _BLOCK // M))
+    # One reused buffer: a fresh copy per block would briefly hold two.
+    buffer = np.empty((rows, M))
     for start in range(0, M, rows):
-        block = d2[start:start + rows].copy()
+        block = buffer[:min(rows, M - start)]
+        block[...] = d2[start:start + rows]
         local = np.arange(block.shape[0])
         block[local, start + local] = np.inf
         block.partition(k - 1, axis=1)

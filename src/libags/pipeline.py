@@ -6,6 +6,17 @@ probabilities), estimate real-data coverage, solve the allocation, run
 the diversity-aware greedy selector, which reads its stopping threshold
 off its own marginal-gain curve, and soft-label what it picked.
 
+After the kNN stage, the kernel stage (pool distances, bandwidth, the
+similarity matrix) runs on a worker thread while the calling thread
+scores the candidates, solves the allocation and builds the k-means
+regions; the greedy starts once both sides are done. The worker spends
+its time in one matrix product and in elementwise passes that release
+the interpreter lock. The two sides share no writable array, and every
+matrix product in either runs on one BLAS thread, so the report's bytes
+do not depend on how the threads interleave. ``stage_seconds`` times
+each side by itself, so its entries overlap and may add up to more than
+the wall time.
+
 Features handed to the pipeline are treated as the representation
 space: encode first (e.g. with RffEncoder) if raw inputs need a map.
 Density estimation uses the feature count as its volume exponent, which
@@ -20,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -27,13 +39,14 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, usable_bandwidth
+from .geometry import KernelSpec, _one_blas_thread, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, usable_bandwidth
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
 from .select import ETA_DYNAMIC_RANGE, build_regions, greedy_select
 
 REPORT_FORMAT = "libags-report/1"
+STAGES = ("scoring_model", "candidate_scores", "geometry", "allocation", "regions", "similarity", "eta", "greedy", "soft_labels")
 
 
 def _is_int(value) -> bool:
@@ -184,6 +197,19 @@ def _validate_proba(proba, rows: int, n_classes: int, what: str) -> np.ndarray:
     return proba
 
 
+def _kernel_stage(features: FeatureMatrix, config: PipelineConfig) -> tuple:
+    """The pool's similarity matrix and the seconds it took to build."""
+    t0 = time.perf_counter()
+    pool_sq = sq_distances(features.values)
+    if config.kernel_bandwidth == "median-knn":
+        # Near-duplicate scale: the typical k-th neighbor distance within the pool.
+        bandwidth = median_knn_distance(features, config.knn_k, sq_dists=pool_sq)
+    else:
+        bandwidth = float(config.kernel_bandwidth)
+    # The kernel overwrites the pool distances, so one M x M array is held.
+    return similarity_matrix(KernelSpec(bandwidth), features, sq_dists=pool_sq), time.perf_counter() - t0
+
+
 def run_selection(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig, external_proba=None) -> SelectionReport:
     """Score, allocate, select, and soft-label a candidate pool.
 
@@ -206,27 +232,15 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     # seeding also sums one such distance per candidate.
     if not math.isfinite(4.0 * peak_sq * n_cand):
         raise ValidationError(f"features too large: squared distances between rows overflow (largest squared row norm {peak_sq:g})")
-    warnings: list = []
-    timings: dict = {}
-    clock = time.perf_counter
-
-    t0 = clock()
     if external_proba is not None:
         real_proba, cand_proba = external_proba
         _validate_proba(real_proba, n_real, real.n_classes, "real")
         cand_proba = _validate_proba(cand_proba, n_cand, real.n_classes, "candidate")
-    else:
-        scoring = fit_logistic(real.features, real.labels, real.n_classes, config.l2, config.epochs, config.lr)
-        cand_proba = predict_proba(scoring, candidates.features)
-    timings["scoring_model"] = clock() - t0
+    warnings: list = []
+    timings = dict.fromkeys(STAGES, 0.0)
+    clock = time.perf_counter
 
-    t0 = clock()
-    margins = top_two_margin_rows(cand_proba)
-    tau = select_tau(margins, config.tau_quantile)
-    weights = boundary_weight(margins, tau)
-    entropies = entropy_rows(cand_proba)
-    timings["candidate_scores"] = clock() - t0
-
+    # The kNN screening blocks are freed before the M x M kernel exists.
     t0 = clock()
     k = min(config.knn_k, n_real - 1)
     calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
@@ -234,46 +248,62 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     density = knn_density(cand_dists, n_real, real.features.n_cols)
     support = support_validity(cand_dists, calibration)
     timings["geometry"] = clock() - t0
+    peak_density = float(density.max())
+    if not math.isfinite(n_real * peak_density):
+        raise ValidationError(
+            f"features too small: the kNN density reaches {peak_density:g}, so the real-data coverage n_real * density overflows"
+        )
 
-    t0 = clock()
-    r = importance(weights, entropies, support)
-    coverage = n_real * density
-    target_mass = n_real * config.coverage_ratio
-    lambda_: object
-    try:
-        solution = solve_lambda(r, coverage, target_mass)
-        gap_scores = solution.gap_scores
-        lambda_ = solution.lambda_
-    except NoPositiveImportance:
-        gap_scores = np.zeros(n_cand)
-        lambda_ = None
-        warnings.append("no candidate had positive importance; nothing to select")
-    values = gap_scores * support
-    timings["allocation"] = clock() - t0
+    # The kernel stage runs beside scoring, allocation and k-means (see the module docstring).
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as executor:
+        kernel = executor.submit(_kernel_stage, candidates.features, config)
 
-    t0 = clock()
-    n_regions = _auto_regions(n_cand) if config.n_regions == "auto" else min(config.n_regions, n_cand)
-    regions = build_regions(real.features, candidates.features, r, n_regions, config.seed)
-    timings["regions"] = clock() - t0
+        t0 = clock()
+        if external_proba is None:
+            scoring = fit_logistic(real.features, real.labels, real.n_classes, config.l2, config.epochs, config.lr)
+            cand_proba = predict_proba(scoring, candidates.features)
+        timings["scoring_model"] = clock() - t0
 
-    t0 = clock()
-    pool_sq = sq_distances(candidates.features.values)
-    if config.kernel_bandwidth == "median-knn":
-        # Near-duplicate scale: the typical k-th neighbor distance within the pool.
-        bandwidth = median_knn_distance(candidates.features, config.knn_k, sq_dists=pool_sq)
-    else:
-        bandwidth = float(config.kernel_bandwidth)
-    # The kernel overwrites the pool distances, so one M x M array is held.
-    sim = similarity_matrix(KernelSpec(bandwidth), candidates.features, sq_dists=pool_sq)
-    del pool_sq
-    timings["similarity"] = clock() - t0
+        t0 = clock()
+        margins = top_two_margin_rows(cand_proba)
+        tau = select_tau(margins, config.tau_quantile)
+        weights = boundary_weight(margins, tau)
+        entropies = entropy_rows(cand_proba)
+        timings["candidate_scores"] = clock() - t0
+
+        t0 = clock()
+        r = importance(weights, entropies, support)
+        coverage = n_real * density
+        target_mass = n_real * config.coverage_ratio
+        lambda_: object
+        try:
+            solution = solve_lambda(r, coverage, target_mass)
+            gap_scores = solution.gap_scores
+            lambda_ = solution.lambda_
+        except NoPositiveImportance:
+            gap_scores = np.zeros(n_cand)
+            lambda_ = None
+            warnings.append("no candidate had positive importance; nothing to select")
+        if lambda_ is not None and not (math.isfinite(lambda_) and lambda_ > 0):
+            raise ValidationError(
+                f"allocation failed: lambda is {lambda_!r}, not a positive finite number; the kNN density reaches "
+                f"{peak_density:g}, so rescale the features"
+            )
+        values = gap_scores * support
+        timings["allocation"] = clock() - t0
+
+        t0 = clock()
+        n_regions = _auto_regions(n_cand) if config.n_regions == "auto" else min(config.n_regions, n_cand)
+        regions = build_regions(real.features, candidates.features, r, n_regions, config.seed)
+        timings["regions"] = clock() - t0
+
+        sim, timings["similarity"] = kernel.result()
 
     # One greedy pass learns eta as the flattening point of its own
     # marginal-gain curve (greedy gains are non-increasing) and keeps
     # exactly the steps at or above it. The pass runs only as far as the
     # knee search looks, so its whole time is booked under "greedy";
     # "eta" stays in stage_seconds at zero to keep the report's layout.
-    timings["eta"] = 0.0
     t0 = clock()
     if lambda_ is None:
         eta = 0.0

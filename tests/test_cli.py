@@ -148,15 +148,25 @@ def test_bad_config_exits_one_with_one_error_line(text, moon_files, tmp_path, ca
     assert "Traceback" not in err
 
 
-def test_features_whose_squared_distances_overflow_exit_one(tmp_path, capsys):
+# Two-moons with 30 per class scaled by a factor: (factor, what the error line names)
+BAD_FEATURE_SCALES = {
+    "squared-distances-overflow": (1e160, "squared distances"),
+    "knn-density-near-overflow": (1e-150, "kNN density"),  # drives lambda to 0
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_FEATURE_SCALES))
+def test_bad_feature_scale_exits_one_with_one_error_line(case, tmp_path, capsys):
+    scale, named = BAD_FEATURE_SCALES[case]
     train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
-    train = LabeledDataset(FeatureMatrix(train.features.values * 1e160), train.labels, train.n_classes)
-    pool = CandidatePool(FeatureMatrix(pool.features.values * 1e160), pool.proposed_labels, pool.source_ids, pool.n_classes)
+    train = LabeledDataset(FeatureMatrix(train.features.values * scale), train.labels, train.n_classes)
+    pool = CandidatePool(FeatureMatrix(pool.features.values * scale), pool.proposed_labels, pool.source_ids, pool.n_classes)
     paths = {name: tmp_path / f"{name}.csv" for name in ("real", "cands", "pr", "pc", "config")}
     write_labeled_csv(paths["real"], train)
     write_candidate_csv(paths["cands"], pool)
-    for name, rows in (("pr", train.n_rows), ("pc", pool.n_rows)):
-        paths[name].write_text("prob_0,prob_1\n" + "0.5,0.5\n" * rows)
+    for name, seed, rows in (("pr", 0, train.n_rows), ("pc", 1, pool.n_rows)):
+        proba = np.random.default_rng(seed).dirichlet(np.ones(2), rows)
+        paths[name].write_text("prob_0,prob_1\n" + "".join(f"{p[0]:.17g},{p[1]:.17g}\n" for p in proba))
     paths["config"].write_text(json.dumps({"epochs": 50}))
     code = main([
         "select", "--real", str(paths["real"]), "--candidates", str(paths["cands"]), "--out", str(tmp_path / "r.json"),
@@ -165,6 +175,7 @@ def test_features_whose_squared_distances_overflow_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
     assert "Traceback" not in err
 
 

@@ -178,6 +178,14 @@ def logit_cases(rng, K):
     return cases
 
 
+def bench_shaped_task(n_classes):
+    """The bench's shape: 240 encoded rows of 200 random features, with labels banded into ``n_classes``."""
+    rng = np.random.default_rng(n_classes)
+    raw = rng.normal(size=(240, 2))
+    x = rff_encode(RffEncoder.create(2, 200, 0.4, 0), FeatureMatrix(raw))
+    return x, np.digitize(raw[:, 0] + 0.3 * raw[:, 1], np.linspace(-1.0, 1.0, n_classes + 1)[1:-1])
+
+
 class TestLogSoftmax:
     @pytest.mark.parametrize("K", [*range(2, 13), 129, 200])
     def test_bit_identical_to_axis_reductions(self, K):
@@ -202,11 +210,7 @@ class TestLogSoftmax:
 
     @pytest.mark.parametrize("n_classes, epochs", [(2, 2000), (3, 500)])
     def test_fit_bit_identical_to_axis_reduction_trainer(self, n_classes, epochs, monkeypatch):
-        # the bench's shape: 240 encoded rows of 200 random features
-        rng = np.random.default_rng(n_classes)
-        raw = rng.normal(size=(240, 2))
-        x = rff_encode(RffEncoder.create(2, 200, 0.4, 0), FeatureMatrix(raw))
-        labels = np.digitize(raw[:, 0] + 0.3 * raw[:, 1], np.linspace(-1.0, 1.0, n_classes + 1)[1:-1])
+        x, labels = bench_shaped_task(n_classes)
         got = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
         monkeypatch.setattr(model_module, "_log_softmax", axis_log_softmax)
         want = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
@@ -216,6 +220,42 @@ class TestLogSoftmax:
         probs = predict_proba(got, x)
         monkeypatch.undo()
         assert np.array_equal(probs, predict_proba(got, x))
+
+
+def axis0_cross_entropy(weights, bias, features, targets, l2: float):
+    """``cross_entropy`` with the bias gradient reduced by ``sum(axis=0)``: the oracle its running sum must match bit for bit."""
+    logp = _log_softmax(features @ weights.T + bias)
+    loss = float(-(targets * logp).sum() / features.shape[0] + 0.5 * l2 * (weights**2).sum())
+    resid = (np.exp(logp) - targets) / features.shape[0]
+    return loss, resid.T @ features + l2 * weights, resid.sum(axis=0)
+
+
+class TestBiasGradient:
+    @pytest.mark.parametrize("K", [2, 3, 5, 9, 12])
+    @pytest.mark.parametrize("n", [7, 8, 129, 301, 1161, 5000])
+    def test_running_sum_bit_identical_to_axis0_sum(self, n, K):
+        # numpy adds the rows of a C-contiguous (n, K) array one after another in both reductions
+        rng = np.random.default_rng(1000 * K + n)
+        rows = rng.normal(size=(n, K)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, K))
+        assert np.array_equal(rows.cumsum(axis=0)[-1], rows.sum(axis=0))
+        X = rng.normal(size=(n, 6))
+        T = rng.dirichlet(np.ones(K), size=n)
+        W = rng.normal(size=(K, 6)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(K, 1))
+        b = rng.normal(size=K)
+        got = cross_entropy(W, b, X, T, 1e-3)
+        want = axis0_cross_entropy(W, b, X, T, 1e-3)
+        assert got[0] == want[0]
+        assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+    @pytest.mark.parametrize("n_classes, epochs", [(2, 2000), (3, 500)])
+    def test_fit_bit_identical_to_axis0_trainer(self, n_classes, epochs, monkeypatch):
+        x, labels = bench_shaped_task(n_classes)
+        got = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
+        monkeypatch.setattr(model_module, "cross_entropy", axis0_cross_entropy)
+        want = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
+        assert got.loss_curve == want.loss_curve
 
 
 class TestModelIo:

@@ -1,8 +1,13 @@
 import json
+import sys
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+import libags.geometry as geometry
+import libags.pipeline as pipeline_module
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons
 from libags.errors import ValidationError
 from libags.geometry import KernelSpec, similarity_matrix
@@ -74,7 +79,6 @@ class TestRunSelection:
         assert a == b
 
     def test_single_greedy_pass_matches_two_pass_report(self, monkeypatch):
-        import libags.pipeline as pipeline_module
         from test_select import two_pass_selection
 
         train, _, pool = make_two_moons(120, 0.3, 0.55, 3)
@@ -99,8 +103,6 @@ class TestRunSelection:
         assert report.to_json() == run_selection(train, pool, config).to_json()
 
     def test_density_and_support_share_one_knn_query(self, monkeypatch):
-        import libags.pipeline as pipeline_module
-
         train, _, pool = make_two_moons(120, 0.3, 0.55, 3)
         calls = []
         original = pipeline_module.knn_distances
@@ -116,7 +118,6 @@ class TestRunSelection:
 
     @pytest.mark.parametrize("case", ["two-moons", "gaussian-d64"])
     def test_certified_distances_match_direct_formula_report(self, case, monkeypatch):
-        import libags.pipeline as pipeline_module
         import libags.select as select_module
         from test_geometry import direct_knn_distances, expansion_median_knn_distance, expansion_similarity_matrix
         from test_select import direct_assign, direct_rows_sq
@@ -169,6 +170,16 @@ class TestRunSelection:
         assert len(report.warnings) == 1
         assert report.warnings[0].startswith("eta is 0:")
         assert "m_hat is 3 of 3 candidates" in report.warnings[0]
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e-152, 1e-153, 1e-154])
+    def test_tiny_feature_scales_fail_naming_the_density(self, scale):
+        # kNN densities near 1e300 drove lambda to 0 (and the coverage to inf at 1e-154)
+        train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
+        real = LabeledDataset(FeatureMatrix(train.features.values * scale), train.labels, 2)
+        pool = CandidatePool(FeatureMatrix(pool.features.values * scale), pool.proposed_labels, pool.source_ids, 2)
+        external = (np.random.default_rng(0).dirichlet(np.ones(2), real.n_rows), np.random.default_rng(1).dirichlet(np.ones(2), pool.n_rows))
+        with pytest.raises(ValidationError, match=r"kNN density reaches [0-9.]+e\+[0-9]{3}"):
+            run_selection(real, pool, PipelineConfig(epochs=50), external_proba=external)
 
     def test_dimension_mismatch(self):
         real = LabeledDataset(FeatureMatrix(np.ones((4, 2))), np.array([0, 1, 0, 1]), 2)
@@ -227,6 +238,102 @@ class TestRunSelection:
         ]
 
 
+class InlineExecutor:
+    """Stands in for ThreadPoolExecutor: runs each submitted call at once on the calling thread."""
+
+    def __init__(self, max_workers):
+        assert max_workers == 1
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:  # the future carries it, as the pool's would
+            future.set_exception(exc)
+        return future
+
+
+def overlap_case(case):
+    """(real, pool, config, external_proba) of one input the kernel worker is checked on."""
+    if case == "gaussian-d64":
+        rng = np.random.default_rng(4)
+        real = LabeledDataset(FeatureMatrix(rng.normal(size=(80, 64))), rng.integers(0, 2, 80), 2)
+        pool = CandidatePool(FeatureMatrix(rng.normal(size=(500, 64))), rng.integers(0, 2, 500), (), 2)
+        return real, pool, tiny_config(max_budget=60), (rng.dirichlet(np.ones(2), 80), rng.dirichlet(np.ones(2), 500))
+    real, _, pool = make_two_moons(120, 0.3, 0.55, 3)
+    bandwidth = 0.05 if case == "float-bandwidth" else "median-knn"
+    return real, pool, tiny_config(seed=3, kernel_bandwidth=bandwidth), None
+
+
+def blas_threads():
+    return None if geometry._BLAS_THREADS is None else geometry._BLAS_THREADS[0]()
+
+
+class KernelFailure(RuntimeError):
+    pass
+
+
+class TestKernelWorker:
+    @pytest.mark.parametrize("case", ["two-moons", "gaussian-d64", "float-bandwidth"])
+    def test_report_bytes_equal_the_inline_run(self, case, monkeypatch):
+        real, pool, config, external = overlap_case(case)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            threaded = run_selection(real, pool, config, external_proba=external)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.m_hat > 0
+        monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", InlineExecutor)
+        assert threaded.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
+
+    def test_kernel_runs_off_the_calling_thread_on_one_blas_thread(self, monkeypatch):
+        real, pool, config, _ = overlap_case("two-moons")
+        seen = {}
+
+        def recording(name, fn):
+            def call(*args, **kwargs):
+                seen[name] = (threading.get_ident(), blas_threads())
+                return fn(*args, **kwargs)
+            return call
+
+        for name in ("similarity_matrix", "build_regions", "fit_logistic"):
+            monkeypatch.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
+        before = blas_threads()
+        assert run_selection(real, pool, config).m_hat > 0
+        caller = threading.get_ident()
+        assert seen["similarity_matrix"][0] != caller
+        assert seen["build_regions"][0] == caller and seen["fit_logistic"][0] == caller
+        if before is not None:
+            assert {threads for _, threads in seen.values()} == {1}
+            assert blas_threads() == before
+
+    @pytest.mark.parametrize("failing", ["similarity_matrix", "build_regions"])
+    def test_error_in_either_thread_propagates_and_threads_are_joined(self, failing, monkeypatch):
+        real, pool, config, _ = overlap_case("two-moons")
+        baseline = threading.active_count()
+        before = blas_threads()
+
+        def fail(*args, **kwargs):
+            raise KernelFailure(failing)
+
+        monkeypatch.setattr(pipeline_module, failing, fail)
+        with pytest.raises(KernelFailure, match=failing):
+            run_selection(real, pool, config)
+        assert threading.active_count() == baseline
+        assert blas_threads() == before
+        monkeypatch.undo()
+        assert run_selection(real, pool, config).m_hat > 0
+        assert threading.active_count() == baseline
+        assert blas_threads() == before
+
+
 class TestTrainFinal:
     def test_empty_selection_equals_plain_fit(self):
         rng = np.random.default_rng(1)
@@ -242,7 +349,6 @@ class TestTrainFinal:
         np.testing.assert_allclose(final.bias, erm.bias, atol=1e-9)
 
     def test_training_set_size_is_n_plus_m(self, monkeypatch):
-        import libags.pipeline as pipeline_module
 
         train, _, pool = make_two_moons(60, 0.3, 0.5, 6)
         config = tiny_config()
