@@ -30,7 +30,6 @@ class AllocationSolution:
     lambda_: float
     gap_scores: np.ndarray
     total_mass: float
-    target_mass: float
 
 
 def _mass_at(log_lambda: float, log_r, coverage) -> tuple:
@@ -58,8 +57,8 @@ def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:
         raise ValidationError("r and coverage must be vectors of equal length")
     if np.any(r < 0) or np.any(coverage < 0):
         raise ValidationError("r and coverage must be nonnegative")
-    if target_mass <= 0:
-        raise ValidationError(f"target_mass must be positive, got {target_mass}")
+    if not (0 < target_mass < np.inf):  # NaN fails too
+        raise ValidationError(f"target_mass must be a positive finite number, got {target_mass}")
     positive = r > 0
     if not np.any(positive):
         raise NoPositiveImportance("all candidate importances are zero")
@@ -78,7 +77,7 @@ def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:
         lo -= 45.0
         mass_lo, scores = _mass_at(lo, log_r, coverage)
     if abs(mass_lo - target_mass) <= tol:
-        return AllocationSolution(float(np.exp(lo)), scores, mass_lo, float(target_mass))
+        return AllocationSolution(float(np.exp(lo)), scores, mass_lo)
     mass_hi, scores = _mass_at(hi, log_r, coverage)
     for _ in range(200):
         if mass_hi <= target_mass + tol:
@@ -86,7 +85,7 @@ def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:
         hi += 45.0
         mass_hi, scores = _mass_at(hi, log_r, coverage)
     if abs(mass_hi - target_mass) <= tol:
-        return AllocationSolution(float(np.exp(hi)), scores, mass_hi, float(target_mass))
+        return AllocationSolution(float(np.exp(hi)), scores, mass_hi)
 
     mid, mass_mid, scores = lo, mass_lo, scores
     for _ in range(BISECT_MAX_ITER):
@@ -98,4 +97,4 @@ def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:
             lo = mid
         else:
             hi = mid
-    return AllocationSolution(float(np.exp(mid)), scores, mass_mid, float(target_mass))
+    return AllocationSolution(float(np.exp(mid)), scores, mass_mid)

@@ -73,16 +73,11 @@ def auroc(scores, labels) -> float:
     n_neg = int((labels == 0).sum())
     if n_pos == 0 or n_neg == 0 or n_pos + n_neg != labels.size:
         raise ValidationError("labels must be binary with both classes present")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    if not np.all(np.isfinite(scores)):
+        raise ValidationError("scores must be finite")
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    end = np.cumsum(counts)  # a tie group holds the sorted positions [end - count, end)
+    ranks = (0.5 * (2 * end - counts - 1) + 1.0)[group]
     rank_sum = float(ranks[labels == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

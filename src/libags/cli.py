@@ -148,16 +148,15 @@ def _cmd_export_grid(args) -> int:
     return 0
 
 
-def _add_common_io(parser, with_proba=True):
+def _add_common_io(parser):
     parser.add_argument("--real", required=True, help="labeled training CSV")
     parser.add_argument("--candidates", required=True, help="candidate pool CSV")
     parser.add_argument("--out", required=True, help="output path")
     parser.add_argument("--config", default=None, help="pipeline config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--n-classes", type=int, default=2, help="class count for label validation (default 2)")
-    if with_proba:
-        parser.add_argument("--proba-real", default=None, help="optional externally computed real-data probability CSV")
-        parser.add_argument("--proba-cand", default=None, help="optional externally computed candidate probability CSV")
+    parser.add_argument("--proba-real", default=None, help="optional externally computed real-data probability CSV")
+    parser.add_argument("--proba-cand", default=None, help="optional externally computed candidate probability CSV")
 
 
 def build_parser() -> argparse.ArgumentParser:

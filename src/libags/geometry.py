@@ -116,17 +116,16 @@ def usable_bandwidth(bandwidth) -> bool:
     return bandwidth > 0 and 0.0 < scale < math.inf
 
 
-def sq_distances(A, B=None) -> np.ndarray:
-    """Squared Euclidean distances between the rows of ``A`` and of ``B`` (default ``A``).
+def sq_distances(A) -> np.ndarray:
+    """Squared Euclidean distances between every pair of rows of ``A``.
 
     Expansion form ||a||^2 + ||b||^2 - 2 a.b, one matrix product on one
-    BLAS thread, clamped at 0; the only extra memory is one block.
-    Without ``B`` the product is A @ A.T, which numpy evaluates as a
-    symmetric rank-k update, so the result is exactly symmetric.
+    BLAS thread, clamped at 0; the only extra memory is one block. The
+    product is A @ A.T, which numpy evaluates as a symmetric rank-k
+    update, so the result is exactly symmetric.
     """
-    B = A if B is None else B
     sq_a = (A * A).sum(axis=1)
-    return _expansion(A, B, sq_a, sq_a if B is A else (B * B).sum(axis=1))
+    return _expansion(A, A, sq_a, sq_a)
 
 
 def _expansion(A, B, sq_a, sq_b) -> np.ndarray:
@@ -238,7 +237,13 @@ def unit_ball_volume(dim: int) -> float:
     """Volume of the unit Euclidean ball in ``dim`` dimensions."""
     if dim < 1:
         raise ValidationError(f"dim must be at least 1, got {dim}")
-    return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    try:
+        return math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
+    except OverflowError:  # from dim 342 on
+        raise ValidationError(
+            f"{dim} feature columns are too many for the kNN density: the unit-ball volume in {dim} dimensions "
+            f"overflows; pass external probabilities and keep the geometry in a low-dimensional space"
+        ) from None
 
 
 def knn_density(distances, n_reference: int, dim: int) -> np.ndarray:

@@ -304,23 +304,19 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     # exactly the steps at or above it. The pass runs only as far as the
     # knee search looks, so its whole time is booked under "greedy";
     # "eta" stays in stage_seconds at zero to keep the report's layout.
+    # With no positive importance every gain is 0, so the pass accepts nothing.
     t0 = clock()
-    if lambda_ is None:
-        eta = 0.0
-        state = None
-    else:
-        budget = None if config.max_budget == "none" else config.max_budget
-        state = greedy_select(values, sim, regions, eta=None, max_budget=budget)
-        eta = state.eta
-        if eta == 0.0 and state.selected:
-            warnings.append(
-                f"eta is 0: fewer than 3 greedy gains exceeded {ETA_DYNAMIC_RANGE:g} times the first, so every "
-                f"positive gain was accepted without a threshold; m_hat is {len(state.selected)} of {n_cand} candidates"
-            )
+    budget = None if config.max_budget == "none" else config.max_budget
+    state = greedy_select(values, sim, regions, eta=None, max_budget=budget)
+    selected = state.selected
+    if state.eta == 0.0 and selected:
+        warnings.append(
+            f"eta is 0: fewer than 3 greedy gains exceeded {ETA_DYNAMIC_RANGE:g} times the first, so every "
+            f"positive gain was accepted without a threshold; m_hat is {len(selected)} of {n_cand} candidates"
+        )
     timings["greedy"] = clock() - t0
 
     t0 = clock()
-    selected = state.selected if state is not None else []
     soft_labels = [soft_label(int(candidates.proposed_labels[j]), cand_proba[j], float(weights[j])).tolist() for j in selected]
     timings["soft_labels"] = clock() - t0
 
@@ -340,13 +336,13 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     return SelectionReport(
         format=REPORT_FORMAT,
         m_hat=len(selected),
-        eta=float(eta),
+        eta=state.eta,
         lambda_=lambda_,
         tau=float(tau),
-        selected=list(selected),
+        selected=selected,
         soft_labels=soft_labels,
         scores=records,
-        gains_log=state.gains_log if state is not None else [],
+        gains_log=state.gains_log,
         config=config.as_dict(),
         warnings=warnings,
         n_real=n_real,

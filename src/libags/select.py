@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ class RegionTable:
     assignment: np.ndarray  # region index per candidate
     c: np.ndarray  # real coverage per region, smoothed to stay positive
     r_region: np.ndarray  # mean candidate importance per region
-    centroids: np.ndarray = field(default=None, repr=False)
 
     @property
     def n_regions(self) -> int:
@@ -57,11 +56,8 @@ class GainStep:
 @dataclass
 class SelectionState:
     selected: list
-    cover: np.ndarray
     gains_log: list
     eta: float
-    region_counts: np.ndarray
-    objective: float
     stop_reason: str
     evaluations: int = 0  # facility-gain passes over a similarity row
 
@@ -117,7 +113,7 @@ def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatri
         members = assignment == j
         if members.any():
             r_region[j] = r[members].mean()
-    return RegionTable(assignment, c, r_region, centroids)
+    return RegionTable(assignment, c, r_region)
 
 
 def marginal_gain(r_j: float, c_j: float, t_j: int) -> float:
@@ -230,11 +226,11 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
         heap.append((-(facility + region_g), j, facility, region_g, 0))
     heapq.heapify(heap)
 
-    def advance(threshold, floor=None):
+    def advance(threshold):
         """Accept heap tops until one fails; returns why the pass stopped.
 
-        A fresh top at or below ``floor`` goes back on the heap unaccepted
-        and the pass reports "cut", so it can resume where it left off.
+        A fresh top below ``threshold`` (or not positive) goes back on the
+        heap unaccepted, so a later call resumes where this one stopped.
         """
         while heap:
             if len(selected) >= budget:
@@ -251,10 +247,8 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
                 continue
             best = -neg_bound
             if best < threshold or best <= 0.0:
-                return "threshold"
-            if floor is not None and best <= floor:
                 heapq.heappush(heap, entry)
-                return "cut"
+                return "threshold"
             selected.append(j)
             region = assignment[j]
             t[region] += 1
@@ -266,24 +260,17 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     if eta is not None:
         stop_reason = advance(eta)
     else:
-        # The first accepted gain is the fresh top of the initial heap.
-        floor = -heap[0][0] * ETA_DYNAMIC_RANGE if heap else None
-        stop_reason = advance(0.0, floor)
+        # The first accepted gain is the fresh top of the initial heap; the
+        # pilot accepts only gains above ETA_DYNAMIC_RANGE times it.
+        first = -heap[0][0] if heap else 0.0
+        stop_reason = advance(math.nextafter(first * ETA_DYNAMIC_RANGE, math.inf))
         eta = select_eta([g.combined_gain for g in gains_log]) if gains_log else 0.0
-        if eta == 0.0:
-            if stop_reason == "cut":  # no knee: go on accepting every positive gain
-                stop_reason = advance(0.0)
+        if eta == 0.0:  # no knee: go on accepting every positive gain
+            stop_reason = advance(0.0)
         else:
+            # A rerun at eta is the prefix of the pilot at or above it.
             keep = next((i for i, g in enumerate(gains_log) if g.combined_gain < eta), len(gains_log))
-            if keep < len(gains_log) or stop_reason == "cut":
-                # A rerun at eta stops on the first gain below it; rebuild its state.
+            if keep < len(gains_log):
                 stop_reason = "threshold"
                 del selected[keep:], gains_log[keep:]
-                cover[:] = 0.0
-                t[:] = 0
-                for j in selected:
-                    t[regions.assignment[j]] += 1
-                    np.maximum(cover, similarity[j], out=cover)
-
-    objective = float(np.sum(values * cover))
-    return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason, evaluations)
+    return SelectionState(selected, gains_log, float(eta), stop_reason, evaluations)

@@ -122,6 +122,11 @@ class TestSolveLambda:
         with pytest.raises(NoPositiveImportance):
             solve_lambda(np.zeros(4), np.zeros(4), 1.0)
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, np.inf, np.nan])
+    def test_target_must_be_positive_and_finite(self, target):
+        with pytest.raises(ValidationError, match="target_mass"):
+            solve_lambda(np.ones(3), np.zeros(3), target)
+
     def test_mass_matches_target_on_random_instances(self):
         rng = np.random.default_rng(0)
         for _ in range(30):

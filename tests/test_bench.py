@@ -39,6 +39,11 @@ class TestAuroc:
     def test_ties_count_half(self):
         assert auroc(np.array([0.5, 0.5]), np.array([1, 0])) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            auroc(np.array([0.1, bad, 0.3]), np.array([1, 0, 1]))
+
     def test_single_class_rejected(self):
         with pytest.raises(ValidationError):
             auroc(np.array([0.1, 0.2]), np.array([1, 1]))

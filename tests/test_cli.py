@@ -119,6 +119,7 @@ BAD_CONFIGS = [
     '{"l2": false}',
     '{"coverage_ratio": true}',
     '{"coverage_ratio": NaN}',
+    '{"coverage_ratio": 1e308}',  # n_real * coverage_ratio overflows to inf
     '{"rff_bandwidth": Infinity}',
     '{"lr": 1' + '0' * 400 + '}',
     '{"kernel_bandwidth": 1' + '0' * 400 + '}',
@@ -176,6 +177,23 @@ def test_bad_feature_scale_exits_one_with_one_error_line(case, tmp_path, capsys)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
+    assert "Traceback" not in err
+
+
+def test_too_many_feature_columns_exits_one_with_one_error_line(tmp_path, capsys):
+    # 342 columns: the kNN density's unit-ball volume leaves float range
+    rng = np.random.default_rng(0)
+    real = LabeledDataset(FeatureMatrix(rng.normal(size=(40, 342))), np.repeat([0, 1], 20), 2)
+    pool = CandidatePool(FeatureMatrix(rng.normal(size=(60, 342))), np.repeat([0, 1], 30), (), 2)
+    paths = {name: tmp_path / f"{name}.csv" for name in ("real", "cands", "config")}
+    write_labeled_csv(paths["real"], real)
+    write_candidate_csv(paths["cands"], pool)
+    paths["config"].write_text(json.dumps({"epochs": 50}))
+    code = main(["select", "--real", str(paths["real"]), "--candidates", str(paths["cands"]), "--out", str(tmp_path / "r.json"), "--config", str(paths["config"])])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "342 feature columns" in err
     assert "Traceback" not in err
 
 

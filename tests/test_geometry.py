@@ -216,6 +216,13 @@ class TestKnnDensity:
         assert unit_ball_volume(2) == pytest.approx(math.pi)
         assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
 
+    @pytest.mark.parametrize("dim", [342, 768, 1241])
+    def test_unit_ball_volume_out_of_float_range_names_the_dimension(self, dim):
+        # math.gamma overflows from 342 on, math.pi ** (dim / 2) from 1241 on
+        with pytest.raises(ValidationError, match=f"{dim} feature columns"):
+            unit_ball_volume(dim)
+        assert unit_ball_volume(341) > 0.0
+
 
 class TestSupportValidity:
     def _calibration(self, pts, k):
@@ -405,4 +412,4 @@ class TestBandwidthHeuristics:
         d2 = sq_distances(X)
         assert np.array_equal(d2, d2.T)
         assert np.all(d2 >= 0)
-        np.testing.assert_allclose(sq_distances(X[:7], X), d2[:7], rtol=0, atol=1e-6)
+        np.testing.assert_allclose(geometry.direct_sq_distances(X[:7, None, :], X[None, :, :]), d2[:7], rtol=0, atol=1e-6)

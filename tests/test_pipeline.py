@@ -64,6 +64,29 @@ class TestRunSelection:
         assert report.lambda_ is None
         assert report.warnings
 
+    @pytest.mark.parametrize("max_budget", ["none", 5, 0])
+    def test_no_positive_importance_report(self, max_budget):
+        # one-hot probabilities make every entropy, and so every importance, 0
+        train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
+        report = run_selection(
+            train, pool, tiny_config(max_budget=max_budget),
+            external_proba=(one_hot(train.labels, 2), one_hot(pool.proposed_labels, 2)),
+        )
+        assert report.m_hat == 0 and report.selected == [] and report.soft_labels == []
+        assert report.eta == 0.0
+        assert report.lambda_ is None
+        assert report.gains_log == []
+        assert report.warnings == ["no candidate had positive importance; nothing to select"]
+
+    def test_widest_feature_space_with_a_finite_ball_volume_runs(self):
+        # d=341 is the last width whose unit-ball volume is a finite float
+        rng = np.random.default_rng(4)
+        real = LabeledDataset(FeatureMatrix(rng.normal(size=(40, 341))), np.repeat([0, 1], 20), 2)
+        pool = CandidatePool(FeatureMatrix(rng.normal(size=(60, 341))), np.repeat([0, 1], 30), (), 2)
+        report = run_selection(real, pool, tiny_config(epochs=50))
+        assert report.n_candidates == 60
+        assert all(np.isfinite(s.density) for s in report.scores)
+
     def test_two_moons_defaults_selects_supported_candidates(self):
         train, _, pool = make_two_moons(200, 0.3, 0.55, 0)
         report = run_selection(train, pool, PipelineConfig())

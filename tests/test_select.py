@@ -61,9 +61,6 @@ def assert_same_state(got, want):
     assert got.selected == want.selected
     assert got.gains_log == want.gains_log
     assert got.eta == want.eta
-    assert np.array_equal(got.cover, want.cover)
-    assert got.objective == want.objective
-    assert np.array_equal(got.region_counts, want.region_counts)
     assert got.stop_reason == want.stop_reason
 
 
@@ -148,7 +145,7 @@ class TestBuildRegions:
         monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
         for table, (R, X, K) in zip(got, cases):
             want = build_regions(FeatureMatrix(R), FeatureMatrix(X), np.arange(len(X)) % 7 / 7.0, K, 5)
-            for name in ("assignment", "c", "r_region", "centroids"):
+            for name in ("assignment", "c", "r_region"):
                 assert np.array_equal(getattr(table, name), getattr(want, name)), name
 
     def test_single_region_counts_all_reals(self):
@@ -339,7 +336,7 @@ class TestGreedySelect:
                 assert step.combined_gain >= eta
             if state.stop_reason == "threshold":
                 cover = sim[:, state.selected].max(axis=1) if state.selected else np.zeros(values.size)
-                t = state.region_counts
+                t = np.bincount(regions.assignment[state.selected], minlength=regions.n_regions)
                 best_remaining = -np.inf
                 for j in range(values.size):
                     if j in state.selected:
@@ -460,7 +457,7 @@ class TestLearnedEta:
         want, _ = two_pass_selection(values, sim, regions)
         got = greedy_select(values, sim, regions, None)
         assert_same_state(got, want)
-        assert got.selected == [] and got.eta == 0.0 and got.objective == 0.0
+        assert got.selected == [] and got.eta == 0.0
         assert got.stop_reason == "threshold"
 
 
@@ -535,8 +532,7 @@ def full_reevaluation_greedy(values, similarity, regions, eta=None, max_budget=N
                     t[regions.assignment[j]] += 1
                     np.maximum(cover, similarity[j], out=cover)
 
-    objective = float(np.sum(values * cover))
-    return SelectionState(selected, cover, gains_log, float(eta), t, objective, stop_reason, evaluations)
+    return SelectionState(selected, gains_log, float(eta), stop_reason, evaluations)
 
 
 def crowded_instance(rng):
