@@ -156,9 +156,9 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     toward the lower index, exactly what a stable sort of each row of
     the full direct-formula matrix would give. With ``exclude_self``
     ``A`` holds the rows of ``B`` in order and row i skips row i of ``B``.
-    With ``distances=False`` ``dist2`` is None, and the rows the
-    screening leaves with a single candidate (k = 1) skip the direct
-    formula.
+    With ``distances=False`` ``dist2`` is None, and for k = 1 the rows
+    the screening leaves with a single candidate skip the direct formula
+    and the sort.
 
     The expansion E = ``sq_distances`` screens the pairs. Write u = eps/2,
     s = ||a||^2 + ||b||^2, D the exact squared distance and F the direct
@@ -198,20 +198,30 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
         refine = ~(E > (kth + 2.0 * tau)[:, None])
         if exclude_self:
             refine[local, start + local] = False
-        r, c = np.nonzero(refine)  # row-major: by row, then by column
-        counts = np.bincount(r, minlength=stop - start)
-        todo = np.arange(r.size) if distances else np.flatnonzero(counts[r] > 1)
-        f = np.zeros(r.size)
-        step = max(1, _BLOCK // d)
-        for p in range(0, todo.size, step):
-            pairs = todo[p:p + step]
-            f[pairs] = direct_sq_distances(A[start + r[pairs]], B[c[pairs]])
-        # Sort by row, then by distance; the sort is stable, so ties keep the lower column.
-        order = np.lexsort((f, r))
-        pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-        dist2[start:stop] = f[pick]
-        index[start:stop] = c[pick]
+        if distances or k > 1:
+            dist2[start:stop], index[start:stop] = _refine(A[start:stop], B, refine, k)
+            continue
+        # A row with one pair left takes its column (argmax of the mask: the
+        # excluded self may hold the row's smallest E); the others refine.
+        index[start:stop, 0] = refine.argmax(axis=1)
+        multi = np.flatnonzero(refine.sum(axis=1) > 1)
+        if multi.size:
+            index[start + multi] = _refine(A[start + multi], B, refine[multi], 1)[1]
     return (dist2 if distances else None), index
+
+
+def _refine(A, B, refine, k: int) -> tuple:
+    """The k nearest rows of ``B`` among each row's ``refine`` pairs, by the direct formula."""
+    r, c = np.nonzero(refine)  # row-major: by row, then by column
+    counts = np.bincount(r, minlength=refine.shape[0])
+    f = np.empty(r.size)
+    step = max(1, _BLOCK // A.shape[1])
+    for p in range(0, r.size, step):
+        f[p:p + step] = direct_sq_distances(A[r[p:p + step]], B[c[p:p + step]])
+    # Sort by row, then by distance; the sort is stable, so ties keep the lower column.
+    order = np.lexsort((f, r))
+    pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+    return f[pick], c[pick]
 
 
 def knn_distances(reference: FeatureMatrix, query: FeatureMatrix, k: int, exclude_self: bool = False) -> np.ndarray:

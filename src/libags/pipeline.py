@@ -6,16 +6,19 @@ probabilities), estimate real-data coverage, solve the allocation, run
 the diversity-aware greedy selector, which reads its stopping threshold
 off its own marginal-gain curve, and soft-label what it picked.
 
-After the kNN stage, the kernel stage (pool distances, bandwidth, the
-similarity matrix) runs on a worker thread while the calling thread
-scores the candidates, solves the allocation and builds the k-means
-regions; the greedy starts once both sides are done. The worker spends
-its time in one matrix product and in elementwise passes that release
-the interpreter lock. The two sides share no writable array, and every
-matrix product in either runs on one BLAS thread, so the report's bytes
-do not depend on how the threads interleave. ``stage_seconds`` times
-each side by itself, so its entries overlap and may add up to more than
-the wall time.
+Two threads share the work. One worker runs the kNN stage (``geometry``:
+the candidates' kNN density and support validity) and then the kernel
+stage (``similarity``: pool distances, bandwidth, the similarity
+matrix). Meanwhile the calling thread fits the scoring model
+(``scoring_model``), reads the kNN results, scores the candidates,
+solves the allocation and builds the k-means regions (``regions``); the
+greedy and the soft labels start once both sides are done. The worker
+spends most of its time in matrix products and in elementwise passes
+that release the interpreter lock. The two sides share no writable
+array, and every matrix product in either runs on one BLAS thread, so
+the report's bytes do not depend on how the threads interleave.
+``stage_seconds`` times each stage on its own thread, so its entries
+overlap and may add up to more than the wall time.
 
 Features handed to the pipeline are treated as the representation
 space: encode first (e.g. with RffEncoder) if raw inputs need a map.
@@ -39,7 +42,7 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, _one_blas_thread, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, usable_bandwidth
+from .geometry import KernelSpec, _one_blas_thread, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, unit_ball_volume, usable_bandwidth
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
@@ -197,6 +200,17 @@ def _validate_proba(proba, rows: int, n_classes: int, what: str) -> np.ndarray:
     return proba
 
 
+def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig) -> tuple:
+    """Each candidate's kNN density and support validity, and the seconds they took."""
+    t0 = time.perf_counter()
+    k = min(config.knn_k, real.n_rows - 1)
+    calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
+    cand_dists = knn_distances(real.features, candidates.features, k)
+    density = knn_density(cand_dists, real.n_rows, real.features.n_cols)
+    support = support_validity(cand_dists, calibration)
+    return density, support, time.perf_counter() - t0
+
+
 def _kernel_stage(features: FeatureMatrix, config: PipelineConfig) -> tuple:
     """The pool's similarity matrix and the seconds it took to build."""
     t0 = time.perf_counter()
@@ -232,6 +246,13 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     # seeding also sums one such distance per candidate.
     if not math.isfinite(4.0 * peak_sq * n_cand):
         raise ValidationError(f"features too large: squared distances between rows overflow (largest squared row norm {peak_sq:g})")
+    unit_ball_volume(real.features.n_cols)  # too many columns fail here, before the scoring fit
+    target_mass = n_real * config.coverage_ratio
+    if not math.isfinite(target_mass):
+        raise ValidationError(
+            f"coverage_ratio {config.coverage_ratio:g} is too large: the allocation target n_real * coverage_ratio "
+            f"overflows with n_real = {n_real}"
+        )
     if external_proba is not None:
         real_proba, cand_proba = external_proba
         _validate_proba(real_proba, n_real, real.n_classes, "real")
@@ -240,22 +261,12 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     timings = dict.fromkeys(STAGES, 0.0)
     clock = time.perf_counter
 
-    # The kNN screening blocks are freed before the M x M kernel exists.
-    t0 = clock()
-    k = min(config.knn_k, n_real - 1)
-    calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
-    cand_dists = knn_distances(real.features, candidates.features, k)
-    density = knn_density(cand_dists, n_real, real.features.n_cols)
-    support = support_validity(cand_dists, calibration)
-    timings["geometry"] = clock() - t0
-    peak_density = float(density.max())
-    if not math.isfinite(n_real * peak_density):
-        raise ValidationError(
-            f"features too small: the kNN density reaches {peak_density:g}, so the real-data coverage n_real * density overflows"
-        )
-
-    # The kernel stage runs beside scoring, allocation and k-means (see the module docstring).
+    # The kNN and kernel stages run on the worker beside scoring, allocation
+    # and k-means (see the module docstring). One worker runs its tasks in
+    # submission order, so the kNN screening blocks are freed before the
+    # M x M kernel exists.
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as executor:
+        neighbors = executor.submit(_knn_stage, real, candidates, config)
         kernel = executor.submit(_kernel_stage, candidates.features, config)
 
         t0 = clock()
@@ -263,6 +274,13 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
             scoring = fit_logistic(real.features, real.labels, real.n_classes, config.l2, config.epochs, config.lr)
             cand_proba = predict_proba(scoring, candidates.features)
         timings["scoring_model"] = clock() - t0
+
+        density, support, timings["geometry"] = neighbors.result()
+        peak_density = float(density.max())
+        if not math.isfinite(n_real * peak_density):
+            raise ValidationError(
+                f"features too small: the kNN density reaches {peak_density:g}, so the real-data coverage n_real * density overflows"
+            )
 
         t0 = clock()
         margins = top_two_margin_rows(cand_proba)
@@ -274,7 +292,12 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         t0 = clock()
         r = importance(weights, entropies, support)
         coverage = n_real * density
-        target_mass = n_real * config.coverage_ratio
+        tiny = float(np.finfo(np.float64).tiny)
+        if np.all(coverage < tiny):
+            warnings.append(
+                f"the real-data coverage n_real * density is below {tiny:g} for every candidate (the kNN density "
+                f"is at most {peak_density:g} in {real.features.n_cols} feature columns), so the allocation ignores the real data"
+            )
         lambda_: object
         try:
             solution = solve_lambda(r, coverage, target_mass)

@@ -97,10 +97,13 @@ def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatri
     centroids = _kmeans_pp_init(X, n_regions, rng)
     assignment = _assign(X, centroids)
     for _ in range(50):
-        for j in range(n_regions):
-            members = assignment == j
-            if members.any():
-                centroids[j] = X[members].mean(axis=0)
+        # A stable argsort lists each cluster's rows in ascending order, the
+        # rows and order X[assignment == j] reads, so the means keep their bits.
+        counts = np.bincount(assignment, minlength=n_regions)
+        order = np.argsort(assignment, kind="stable")
+        ends = np.cumsum(counts)
+        for j in np.flatnonzero(counts):
+            centroids[j] = X[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
         new_assignment = _assign(X, centroids)
         if np.array_equal(new_assignment, assignment):
             break

@@ -135,6 +135,8 @@ BAD_CONFIGS = [
     '{"epochs": ',
     b'{"epochs": "\xff"}',
 ]
+# The config key an error line must name, for rows that fail past the config parser
+BAD_CONFIG_NAMES = {'{"coverage_ratio": 1e308}': "coverage_ratio"}
 
 
 @pytest.mark.parametrize("text", BAD_CONFIGS)
@@ -146,6 +148,7 @@ def test_bad_config_exits_one_with_one_error_line(text, moon_files, tmp_path, ca
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert BAD_CONFIG_NAMES.get(text, "") in err
     assert "Traceback" not in err
 
 

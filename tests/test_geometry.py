@@ -166,6 +166,7 @@ class TestKnnDistances:
         got = knn_distances(FeatureMatrix(pts), FeatureMatrix(pts), 7, exclude_self=True)
         assert np.array_equal(got, direct_knn_distances(pts, pts, 7, exclude_self=True))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_index_only_gives_the_same_neighbors(self):
         rng = np.random.default_rng(14)
         for name, ref, query in adversarial_sets(rng, 3)[:4]:
@@ -173,6 +174,21 @@ class TestKnnDistances:
                 dist2, want = nearest(query, ref, k)
                 none, got = nearest(query, ref, k, distances=False)
                 assert none is None and np.array_equal(got, want), (name, k)
+            _, want = nearest(ref, ref, 1, exclude_self=True)
+            assert np.array_equal(nearest(ref, ref, 1, exclude_self=True, distances=False)[1], want), name
+        # duplicated reference rows: a tie goes to the lower index
+        half = rng.normal(size=(35, 3))
+        ref = np.vstack([half, half])
+        query = np.vstack([ref, rng.normal(size=(20, 3))])
+        got = nearest(query, ref, 1, distances=False)[1][:, 0]
+        assert np.array_equal(got, ((query[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2).argmin(axis=1))
+        assert np.all(got < 35)
+        # each row's screening distances are all inf (its norms overflow in the
+        # expansion, its self entry is excluded): the mask, not E, names the neighbor
+        ref = np.array([[1e154, 0.0], [0.0, 1e154]])
+        _, want = nearest(ref, ref, 1, exclude_self=True)
+        _, got = nearest(ref, ref, 1, exclude_self=True, distances=False)
+        assert np.array_equal(want, [[1], [0]]) and np.array_equal(got, want)
 
     def test_k_too_large(self):
         pts = FeatureMatrix(np.ones((3, 2)))

@@ -87,6 +87,19 @@ class TestRunSelection:
         assert report.n_candidates == 60
         assert all(np.isfinite(s.density) for s in report.scores)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_warns_when_every_coverage_is_below_the_smallest_normal_float(self, scale):
+        # d=341 Gaussians: the coverage n_real * density reaches about 1e-248
+        # at scale 1 and underflows for every candidate at scale 2
+        rng = np.random.default_rng(4)
+        real = LabeledDataset(FeatureMatrix(scale * rng.normal(size=(40, 341))), np.repeat([0, 1], 20), 2)
+        pool = CandidatePool(FeatureMatrix(scale * rng.normal(size=(60, 341))), np.repeat([0, 1], 30), (), 2)
+        report = run_selection(real, pool, tiny_config(epochs=50))
+        underflow = all(40 * s.density < np.finfo(np.float64).tiny for s in report.scores)
+        assert underflow == (scale == 2.0)
+        warned = [w for w in report.warnings if "coverage n_real * density is below" in w]
+        assert len(warned) == underflow and all("341 feature columns" in w for w in warned)
+
     def test_two_moons_defaults_selects_supported_candidates(self):
         train, _, pool = make_two_moons(200, 0.3, 0.55, 0)
         report = run_selection(train, pool, PipelineConfig())
@@ -326,18 +339,18 @@ class TestKernelWorker:
                 return fn(*args, **kwargs)
             return call
 
-        for name in ("similarity_matrix", "build_regions", "fit_logistic"):
+        for name in ("knn_distances", "similarity_matrix", "build_regions", "fit_logistic"):
             monkeypatch.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
         before = blas_threads()
         assert run_selection(real, pool, config).m_hat > 0
         caller = threading.get_ident()
-        assert seen["similarity_matrix"][0] != caller
+        assert seen["knn_distances"][0] != caller and seen["similarity_matrix"][0] != caller
         assert seen["build_regions"][0] == caller and seen["fit_logistic"][0] == caller
         if before is not None:
             assert {threads for _, threads in seen.values()} == {1}
             assert blas_threads() == before
 
-    @pytest.mark.parametrize("failing", ["similarity_matrix", "build_regions"])
+    @pytest.mark.parametrize("failing", ["knn_distances", "similarity_matrix", "build_regions"])
     def test_error_in_either_thread_propagates_and_threads_are_joined(self, failing, monkeypatch):
         real, pool, config, _ = overlap_case("two-moons")
         baseline = threading.active_count()

@@ -13,6 +13,7 @@ from libags.select import (
     GainStep,
     SelectionState,
     _assign,
+    _kmeans_pp_init,
     build_regions,
     greedy_select,
     marginal_gain,
@@ -123,6 +124,35 @@ def assignment_cases(rng, d):
     ]
 
 
+def mask_means_regions(R, X, r, n_regions, seed, assign):
+    """Reference k-means whose Lloyd means gather each cluster with a boolean mask; ``assign`` is ``_assign`` or a wrapper of it."""
+    rng = np.random.default_rng(seed)
+    centroids = _kmeans_pp_init(X, n_regions, rng)
+    assignment = assign(X, centroids)
+    for _ in range(50):
+        for j in range(n_regions):
+            members = assignment == j
+            if members.any():
+                centroids[j] = X[members].mean(axis=0)
+        new_assignment = assign(X, centroids)
+        if np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    c = np.bincount(assign(R, centroids), minlength=n_regions) + 1.0
+    r_region = np.array([r[assignment == j].mean() if np.any(assignment == j) else 0.0 for j in range(n_regions)])
+    return assignment, c, r_region
+
+
+def regions_cases(rng, d):
+    """(real rows, candidate rows, region count) triples for the k-means checks."""
+    cases = [(rng.normal(size=(40, d)), rng.normal(size=(400, d)), 16)]
+    cases.append((cases[0][0] + 1e4, cases[0][1] + 1e4, 16))
+    grid = rng.integers(-1, 2, size=(200, d)).astype(np.float64)
+    cases.append((grid[:30], grid, 9))
+    cases.append((cases[0][0], np.vstack([cases[0][1][:100]] * 3), 20))
+    return cases
+
+
 class TestBuildRegions:
     @pytest.mark.parametrize("d", [1, 2, 64])
     def test_assignment_bit_identical_to_direct_formula(self, d):
@@ -134,12 +164,7 @@ class TestBuildRegions:
     def test_regions_bit_identical_to_direct_formula(self, d, monkeypatch):
         import libags.select as select_module
 
-        rng = np.random.default_rng(100 + d)
-        cases = [(rng.normal(size=(40, d)), rng.normal(size=(400, d)), 16)]
-        cases.append((cases[0][0] + 1e4, cases[0][1] + 1e4, 16))
-        grid = rng.integers(-1, 2, size=(200, d)).astype(np.float64)
-        cases.append((grid[:30], grid, 9))
-        cases.append((cases[0][0], np.vstack([cases[0][1][:100]] * 3), 20))
+        cases = regions_cases(np.random.default_rng(100 + d), d)
         got = [build_regions(FeatureMatrix(R), FeatureMatrix(X), np.arange(len(X)) % 7 / 7.0, K, 5) for R, X, K in cases]
         monkeypatch.setattr(select_module, "_assign", direct_assign)
         monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
@@ -147,6 +172,36 @@ class TestBuildRegions:
             want = build_regions(FeatureMatrix(R), FeatureMatrix(X), np.arange(len(X)) % 7 / 7.0, K, 5)
             for name in ("assignment", "c", "r_region"):
                 assert np.array_equal(getattr(table, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("d", [1, 2, 64])
+    def test_lloyd_means_bit_identical_to_mask_means(self, d, monkeypatch):
+        import libags.select as select_module
+
+        centroids = []
+
+        def recording_assign(X, C):
+            centroids.append(C.copy())
+            return _assign(X, C)
+
+        monkeypatch.setattr(select_module, "_assign", recording_assign)
+        rng = np.random.default_rng(100 + d)
+        cases = regions_cases(rng, d)
+        # five distinct rows for eight regions: the seeding repeats centroids,
+        # so some regions end up empty and keep their centroid
+        distinct = rng.normal(size=(5, d))
+        cases.append((distinct[:3], np.repeat(distinct, 20, axis=0), 8))
+        for R, X, K in cases:
+            r = np.arange(len(X)) % 7 / 7.0
+            table = build_regions(FeatureMatrix(R), FeatureMatrix(X), r, K, 5)
+            got = centroids[:]
+            centroids.clear()
+            want = mask_means_regions(R, X, r, K, 5, recording_assign)
+            for name, value in zip(("assignment", "c", "r_region"), want):
+                assert np.array_equal(getattr(table, name), value), (name, K)
+            # every iteration's centroids, not only the assignments they give
+            assert len(got) == len(centroids) and all(np.array_equal(a, b) for a, b in zip(got, centroids)), K
+            centroids.clear()
+        assert np.bincount(table.assignment, minlength=8).min() == 0
 
     def test_single_region_counts_all_reals(self):
         rng = np.random.default_rng(0)
