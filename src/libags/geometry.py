@@ -8,7 +8,8 @@ the right trade at the few-thousand-candidate scale this package targets
 Every pairwise distance matrix comes from ``sq_distances``, the expansion
 ||a||^2 + ||b||^2 - 2 a.b evaluated with one matrix product. The
 kernel bandwidth and the similarity kernel use it as is, and the kernel
-overwrites it with the similarities. Nearest-neighbor answers
+overwrites it with the similarities (or with only the columns asked
+for, in the same buffer). Nearest-neighbor answers
 (``knn_distances`` and the k-means assignment) must equal those of the
 direct differences formula sum((a - b)^2) bit for bit, so ``nearest``
 screens with the expansion, bounds its rounding error, and recomputes
@@ -299,23 +300,53 @@ def support_validity(distances, calibration) -> np.ndarray:
     return np.exp(-(excess**2) / (2.0 * sigma * sigma))
 
 
-def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None) -> np.ndarray:
-    """Full pairwise similarity matrix with exact unit diagonal.
+def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None, columns=None) -> np.ndarray:
+    """Pairwise similarity matrix with exact unit diagonal.
 
     ``sq_dists`` may carry ``sq_distances(features.values)``; it is
-    consumed: its entries are overwritten with the similarities and the
-    same array is returned, so the kernel stage holds one M x M array.
+    consumed: its entries are overwritten with the similarities, so the
+    kernel stage holds one M x M buffer. Without ``columns`` the same
+    (M, M) array is returned.
+
+    ``columns`` (strictly increasing indices) asks for the (M, u) matrix
+    of those u columns only, S[:, columns], with 1.0 where row
+    ``columns[c]`` meets column c. Only those M * u similarities are
+    computed. They are written row-major into the start of the distance
+    buffer, each row block gathered before its positions are
+    overwritten, so the result is a view of that buffer. When
+    ``columns`` names every column this is the in-place pass above.
     """
     S = sq_distances(features.values) if sq_dists is None else sq_dists
+    M = S.shape[0]
     scale = 2.0 * kernel.bandwidth**2
-    rows = max(1, _BLOCK // S.shape[1])
-    for start in range(0, S.shape[0], rows):
-        block = S[start:start + rows]
-        np.negative(block, out=block)
-        block /= scale
-        np.exp(block, out=block)
-    np.fill_diagonal(S, 1.0)
-    return S
+    if columns is not None:
+        columns = np.asarray(columns, dtype=np.intp)
+        if columns.ndim != 1 or columns.size and (columns[0] < 0 or columns[-1] >= M or np.any(columns[1:] <= columns[:-1])):
+            raise ValidationError(f"columns must be strictly increasing indices in [0, {M})")
+    if columns is None or columns.size == M:
+        rows = max(1, _BLOCK // M)
+        for start in range(0, M, rows):
+            block = S[start:start + rows]
+            np.negative(block, out=block)
+            block /= scale
+            np.exp(block, out=block)
+        np.fill_diagonal(S, 1.0)
+        return S
+    u = columns.size
+    # Output rows [start, stop) overwrite only input rows below stop, which
+    # are already gathered: rows * u <= rows * M.
+    out = S.reshape(-1)[:M * u].reshape(M, u)
+    rows = max(1, _BLOCK // max(u, 1))
+    gathered = np.empty((min(rows, M), u))
+    for start in range(0, M, rows):
+        block = gathered[:min(rows, M - start)]
+        np.take(S[start:start + rows], columns, axis=1, out=block, mode="clip")
+        dest = out[start:start + rows]
+        np.negative(block, out=dest)
+        dest /= scale
+        np.exp(dest, out=dest)
+    out[columns, np.arange(u)] = 1.0
+    return out
 
 
 def median_knn_distance(features: FeatureMatrix, k: int, sq_dists=None) -> float:

@@ -7,18 +7,23 @@ the diversity-aware greedy selector, which reads its stopping threshold
 off its own marginal-gain curve, and soft-label what it picked.
 
 Two threads share the work. One worker runs the kNN stage (``geometry``:
-the candidates' kNN density and support validity) and then the kernel
-stage (``similarity``: pool distances, bandwidth, the similarity
-matrix). Meanwhile the calling thread fits the scoring model
-(``scoring_model``), reads the kNN results, scores the candidates,
-solves the allocation and builds the k-means regions (``regions``); the
-greedy and the soft labels start once both sides are done. The worker
-spends most of its time in matrix products and in elementwise passes
-that release the interpreter lock. The two sides share no writable
-array, and every matrix product in either runs on one BLAS thread, so
-the report's bytes do not depend on how the threads interleave.
-``stage_seconds`` times each stage on its own thread, so its entries
-overlap and may add up to more than the wall time.
+the candidates' kNN density and support validity) and then the first
+half of the kernel stage (``similarity``): the M x M pool distances and
+the bandwidth. Meanwhile the calling thread fits the scoring model
+(``scoring_model``), reads the kNN results, scores the candidates and
+solves the allocation, which gives each candidate's value. It then
+queues the second half of the kernel stage on the worker: the
+similarities to the u candidates with nonzero value, the only columns
+the greedy reads, which overwrite the distances in their own buffer (an
+(M, u) block in the M x M one). The calling thread goes on to build
+the k-means regions (``regions``); the greedy and the soft labels start
+once both sides are done. A failed kNN stage leaves the distances
+unbuilt. The worker spends most of its time in matrix products and in
+elementwise passes that release the interpreter lock. The two sides
+share no writable array, and every matrix product in either runs on
+one BLAS thread, so the report's bytes do not depend on how the threads
+interleave. ``stage_seconds`` times each stage on its own thread, so its
+entries overlap and may add up to more than the wall time.
 
 Features handed to the pipeline are treated as the representation
 space: encode first (e.g. with RffEncoder) if raw inputs need a map.
@@ -36,6 +41,8 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -158,25 +165,19 @@ class SelectionReport:
     stage_seconds: dict = field(default_factory=dict)
 
     def to_json(self, include_timings: bool = False) -> str:
+        """The report as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+        The per-candidate and per-step arrays, most of the text, are
+        written from one template per row, filled with the values' reprs
+        (json's own spelling of finite floats and ints); every other value
+        goes through ``json.dumps`` itself.
+        """
         payload = {
             "format": self.format,
             "m_hat": self.m_hat,
             "eta": self.eta,
             "lambda": self.lambda_,
             "tau": self.tau,
-            "selected": self.selected,
-            "soft_labels": self.soft_labels,
-            "scores": [record.as_dict() for record in self.scores],
-            "gains_log": [
-                {
-                    "step": g.step,
-                    "candidate": g.candidate,
-                    "facility_gain": g.facility_gain,
-                    "region_gain": g.region_gain,
-                    "combined_gain": g.combined_gain,
-                }
-                for g in self.gains_log
-            ],
             "config": self.config,
             "warnings": self.warnings,
             "n_real": self.n_real,
@@ -184,7 +185,45 @@ class SelectionReport:
         }
         if include_timings:
             payload["stage_seconds"] = self.stage_seconds
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # A value one level down is json's own text with every line indented once more.
+        text = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ") for key, value in payload.items()}
+        text["scores"] = _json_objects(self.scores, ScoreRecord.FIELDS)
+        text["gains_log"] = _json_objects(self.gains_log, _GAIN_FIELDS)
+        text["soft_labels"] = _json_list([_json_list([_json_value(p, 3) for p in row], 2) for row in self.soft_labels], 1)
+        text["selected"] = _json_list([_json_value(j, 2) for j in self.selected], 1)
+        return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text[key]}" for key in sorted(text)) + "\n}\n"
+
+
+_GAIN_FIELDS = ("step", "candidate", "facility_gain", "region_gain", "combined_gain")
+
+
+def _json_value(value, level: int) -> str:
+    """``value`` as json.dumps(indent=2) writes it ``level`` levels deep."""
+    if type(value) is float and value - value == 0.0:  # finite: json writes NaN and Infinity itself
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
+
+
+def _json_list(items: list, level: int) -> str:
+    """A list of already written items as json.dumps(indent=2) writes it ``level`` levels deep."""
+    if not items:
+        return "[]"
+    pad = "\n" + "  " * level
+    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
+
+
+def _json_objects(rows, names) -> str:
+    """The top-level list of ``{name: row.name}`` objects, one template per row."""
+    names = sorted(names)
+    template = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
+    values = list(chain.from_iterable(map(attrgetter(*names), rows)))
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        text = list(map(float.__repr__, values))  # all finite floats: repr is json's spelling
+    else:
+        text = [_json_value(value, 3) for value in values]
+    return _json_list([template] * len(rows), 1) % tuple(text)
 
 
 def _auto_regions(n_candidates: int) -> int:
@@ -207,12 +246,24 @@ def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: Pipeline
     calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
     cand_dists = knn_distances(real.features, candidates.features, k)
     density = knn_density(cand_dists, real.n_rows, real.features.n_cols)
+    peak_density = float(density.max())
+    if not math.isfinite(real.n_rows * peak_density):
+        raise ValidationError(
+            f"features too small: the kNN density reaches {peak_density:g}, so the real-data coverage n_real * density overflows"
+        )
     support = support_validity(cand_dists, calibration)
     return density, support, time.perf_counter() - t0
 
 
-def _kernel_stage(features: FeatureMatrix, config: PipelineConfig) -> tuple:
-    """The pool's similarity matrix and the seconds it took to build."""
+def _distance_stage(neighbors, features: FeatureMatrix, config: PipelineConfig):
+    """The pool distances, the kernel bandwidth and the seconds they took.
+
+    Runs after the kNN stage on the same worker, so ``neighbors`` is done;
+    if it failed, the calling thread raises its error and the M x M matrix
+    is not built (None).
+    """
+    if neighbors.exception() is not None:
+        return None
     t0 = time.perf_counter()
     pool_sq = sq_distances(features.values)
     if config.kernel_bandwidth == "median-knn":
@@ -220,8 +271,20 @@ def _kernel_stage(features: FeatureMatrix, config: PipelineConfig) -> tuple:
         bandwidth = median_knn_distance(features, config.knn_k, sq_dists=pool_sq)
     else:
         bandwidth = float(config.kernel_bandwidth)
-    # The kernel overwrites the pool distances, so one M x M array is held.
-    return similarity_matrix(KernelSpec(bandwidth), features, sq_dists=pool_sq), time.perf_counter() - t0
+    return pool_sq, bandwidth, time.perf_counter() - t0
+
+
+def _kernel_stage(distances, features: FeatureMatrix, columns) -> tuple:
+    """The similarity matrix's valued columns and the seconds the kernel stage took.
+
+    Runs after ``_distance_stage`` on the same worker, so ``distances`` is
+    done. The similarities overwrite the pool distances, so one M x M
+    buffer is held.
+    """
+    pool_sq, bandwidth, seconds = distances.result()
+    t0 = time.perf_counter()
+    sim = similarity_matrix(KernelSpec(bandwidth), features, sq_dists=pool_sq, columns=columns)
+    return sim, seconds + time.perf_counter() - t0
 
 
 def run_selection(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig, external_proba=None) -> SelectionReport:
@@ -264,10 +327,10 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     # The kNN and kernel stages run on the worker beside scoring, allocation
     # and k-means (see the module docstring). One worker runs its tasks in
     # submission order, so the kNN screening blocks are freed before the
-    # M x M kernel exists.
+    # M x M distance matrix exists, and each task finds the one before it done.
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as executor:
         neighbors = executor.submit(_knn_stage, real, candidates, config)
-        kernel = executor.submit(_kernel_stage, candidates.features, config)
+        distances = executor.submit(_distance_stage, neighbors, candidates.features, config)
 
         t0 = clock()
         if external_proba is None:
@@ -277,10 +340,6 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
 
         density, support, timings["geometry"] = neighbors.result()
         peak_density = float(density.max())
-        if not math.isfinite(n_real * peak_density):
-            raise ValidationError(
-                f"features too small: the kNN density reaches {peak_density:g}, so the real-data coverage n_real * density overflows"
-            )
 
         t0 = clock()
         margins = top_two_margin_rows(cand_proba)
@@ -314,6 +373,9 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
             )
         values = gap_scores * support
         timings["allocation"] = clock() - t0
+        # A zero-valued candidate adds nothing to any facility gain, so the
+        # kernel computes only the valued columns (see greedy_select).
+        kernel = executor.submit(_kernel_stage, distances, candidates.features, np.flatnonzero(values))
 
         t0 = clock()
         n_regions = _auto_regions(n_cand) if config.n_regions == "auto" else min(config.n_regions, n_cand)
@@ -343,19 +405,9 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     soft_labels = [soft_label(int(candidates.proposed_labels[j]), cand_proba[j], float(weights[j])).tolist() for j in selected]
     timings["soft_labels"] = clock() - t0
 
-    records = [
-        ScoreRecord(
-            margin=float(margins[j]),
-            boundary_weight=float(weights[j]),
-            entropy=float(entropies[j]),
-            density=float(density[j]),
-            support=float(support[j]),
-            importance=float(r[j]),
-            gap_score=float(gap_scores[j]),
-            value=float(values[j]),
-        )
-        for j in range(n_cand)
-    ]
+    # Columns in ScoreRecord.FIELDS order.
+    columns = (margins, weights, entropies, density, support, r, gap_scores, values)
+    records = [ScoreRecord(*row) for row in zip(*(column.tolist() for column in columns))]
     return SelectionReport(
         format=REPORT_FORMAT,
         m_hat=len(selected),

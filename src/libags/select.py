@@ -129,6 +129,9 @@ def marginal_gain(r_j: float, c_j: float, t_j: int) -> float:
 # Gains this far below the curve maximum are float residue (kernel tails),
 # not signal; they would otherwise drag the knee search into noise.
 ETA_DYNAMIC_RANGE = 1e-9
+# Rows per block of the greedy's cover-0 heap initialisation: a small block
+# keeps its buffer far below the similarity matrix it reads.
+_INIT_ROWS = 16
 
 
 def select_eta(sorted_gains_desc) -> float:
@@ -170,11 +173,11 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     identical to re-scoring every candidate at every step.
 
     Each heap entry bounds its candidate's gain by a facility part and a
-    region part, refreshed separately. A popped entry whose region part
-    is out of date goes back with the region's current gain and its old
-    facility part, which costs no pass over the similarity row; one
-    whose facility part is out of date is evaluated afresh; only an
-    entry that is current in both parts is accepted. The bounds stay
+    region part, refreshed separately. A heap top whose region part is
+    out of date is replaced by one with the region's current gain and its
+    old facility part, which costs no pass over the similarity row; one
+    whose facility part is out of date is evaluated afresh; only a top
+    that is current in both parts is accepted. The bounds stay
     valid in floating point because the computed facility gain never
     increases as the cover grows: the subtraction, the clamp at 0, the
     product with nonnegative values, the pairwise sum and the final
@@ -191,7 +194,18 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     accept every positive gain.
 
     ``similarity`` is the symmetric (M, M) matrix ``similarity_matrix``
-    builds: the selector reads candidate j's similarities from row j.
+    builds, or its (M, u) valued columns: the u columns of the candidates
+    with nonzero value, in index order (``similarity_matrix(...,
+    columns=np.flatnonzero(values))``). Given the full matrix the
+    selector gathers those columns itself. Candidate j's similarities
+    are read from row j; they must be finite.
+
+    A zero-valued column adds nothing to F, so the cover and each
+    facility pass cover the valued columns only. Each pass's terms are
+    scattered into a length-M buffer that holds ``values * 0.0``, the
+    signed zeros those columns contribute, before the sum: the summed
+    vector, and so every gain, keeps the bits of a pass over all M
+    columns.
     """
     values = np.asarray(values, dtype=np.float64)
     M = values.size
@@ -199,10 +213,22 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
         raise ValidationError("candidate values must be nonnegative")
     if regions.assignment.shape != (M,):
         raise ValidationError("regions must cover exactly the candidate pool")
+    valued = np.flatnonzero(values)
+    u = valued.size
+    similarity = np.asarray(similarity)
+    if similarity.shape == (M, M) and u < M:
+        similarity = similarity[:, valued]
+    elif similarity.shape != (M, u):
+        raise ValidationError(
+            f"similarity must be the ({M}, {M}) matrix or its ({M}, {u}) valued columns, got shape {similarity.shape}"
+        )
     budget = M if max_budget is None else min(int(max_budget), M)
     assignment = regions.assignment.tolist()
-    cover = np.zeros(M)
-    terms = np.empty(M)
+    valued_values = values[valued]
+    cover = np.zeros(u)
+    terms = np.empty(u)
+    # With every candidate valued the terms are the whole summed vector.
+    summed = terms if u == M else values * 0.0
     t = np.zeros(regions.n_regions, dtype=np.int64)
     # Current region gain per region; marginal_gain rejects c <= 0 here, up front.
     region_now = [float(marginal_gain(r_j, c_j, 0)) for r_j, c_j in zip(regions.r_region, regions.c)]
@@ -210,7 +236,6 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
         raise ValidationError("region gains must be numbers: r_region or c holds NaN")
     gains_log: list = []
     selected: list = []
-    evaluations = 0
 
     def facility_gain(j):
         """Marginal coverage gain of candidate j given the current cover."""
@@ -218,40 +243,61 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
         evaluations += 1
         np.subtract(similarity[j], cover, out=terms)
         np.maximum(terms, 0.0, out=terms)
-        np.multiply(terms, values, out=terms)
-        return float(terms.sum())
+        np.multiply(terms, valued_values, out=terms)
+        if summed is not terms:
+            summed[valued] = terms
+        return float(summed.sum())
 
-    # Heap entries: (-(facility + region), candidate, facility, region, n_selected when facility was computed)
+    # Heap entries: (-(facility + region), candidate, facility, region, n_selected when facility was computed).
+    # At cover 0 a pass is max(S[j], 0) * values (S[j] - 0 is S[j]). The
+    # rows go _INIT_ROWS at a time through one buffer whose zero-valued
+    # columns hold values * 0.0; sum(axis=1) of a C-contiguous block equals
+    # each row's sum(), so the bounds keep facility_gain's bits.
     heap = []
-    for j in range(M):
-        facility = facility_gain(j)
-        region_g = region_now[assignment[j]]
-        heap.append((-(facility + region_g), j, facility, region_g, 0))
+    block = np.empty((min(_INIT_ROWS, M), M))
+    if summed is terms:
+        gathered = block
+    else:
+        gathered = np.empty((block.shape[0], u))
+        block[...] = summed
+    for start in range(0, M, _INIT_ROWS):
+        rows = gathered[:min(_INIT_ROWS, M - start)]
+        np.maximum(similarity[start:start + _INIT_ROWS], 0.0, out=rows)
+        rows *= valued_values
+        part = block[:rows.shape[0]]
+        if summed is not terms:
+            part[:, valued] = rows
+        for j, facility in enumerate(part.sum(axis=1).tolist(), start):
+            region_g = region_now[assignment[j]]
+            heap.append((-(facility + region_g), j, facility, region_g, 0))
+    del block, gathered
+    evaluations = M  # one initial pass per candidate
     heapq.heapify(heap)
 
     def advance(threshold):
         """Accept heap tops until one fails; returns why the pass stopped.
 
-        A fresh top below ``threshold`` (or not positive) goes back on the
+        A fresh top below ``threshold`` (or not positive) stays on the
         heap unaccepted, so a later call resumes where this one stopped.
         """
         while heap:
             if len(selected) >= budget:
                 return "budget"
-            entry = heapq.heappop(heap)
-            neg_bound, j, facility, region_g, stamp = entry
+            # Keys (-bound, j) are unique, so replacing the top in place pops
+            # in the same order as a pop followed by a push.
+            neg_bound, j, facility, region_g, stamp = heap[0]
             current = region_now[assignment[j]]
             if region_g != current:
-                heapq.heappush(heap, (-(facility + current), j, facility, current, stamp))
+                heapq.heapreplace(heap, (-(facility + current), j, facility, current, stamp))
                 continue
             if stamp != len(selected):
                 facility = facility_gain(j)
-                heapq.heappush(heap, (-(facility + current), j, facility, current, len(selected)))
+                heapq.heapreplace(heap, (-(facility + current), j, facility, current, len(selected)))
                 continue
             best = -neg_bound
             if best < threshold or best <= 0.0:
-                heapq.heappush(heap, entry)
                 return "threshold"
+            heapq.heappop(heap)
             selected.append(j)
             region = assignment[j]
             t[region] += 1

@@ -324,6 +324,29 @@ class TestSimilarity:
             assert similarity_matrix(kern, feats, sq_dists=shared) is shared
             assert np.array_equal(shared, want)
 
+    def test_valued_columns_equal_the_full_matrix_columns_in_the_distance_buffer(self):
+        rng = np.random.default_rng(11)
+        # (1100, 0.55) writes its 600 columns over 11 row blocks; fraction 1 is the in-place pass
+        for M, d, fraction in ((1100, 4, 0.55), (1100, 2, 0.01), (300, 64, 0.5), (300, 64, 1.0), (7, 1, 0.3), (5, 2, 0.0), (1, 2, 1.0)):
+            feats = FeatureMatrix(rng.normal(size=(M, d)))
+            kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
+            want = similarity_matrix(kern, feats)
+            columns = np.flatnonzero(rng.random(M) < fraction)
+            shared = sq_distances(feats.values)
+            S = similarity_matrix(kern, feats, sq_dists=shared, columns=columns)
+            assert S.shape == (M, columns.size)
+            assert np.array_equal(S, want[:, columns])
+            if columns.size == M:
+                assert S is shared
+            elif columns.size:
+                assert np.shares_memory(S, shared)
+
+    @pytest.mark.parametrize("columns", [[2, 1], [1, 1], [-1, 2], [0, 5], [[0, 1]]])
+    def test_columns_must_be_increasing_indices_in_range(self, columns):
+        feats = FeatureMatrix(np.random.default_rng(12).normal(size=(5, 2)))
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            similarity_matrix(KernelSpec(1.0), feats, columns=columns)
+
     def test_matrix_diagonal_and_range(self):
         rng = np.random.default_rng(6)
         feats = FeatureMatrix(rng.normal(size=(30, 3)))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import sys
 import threading
 from concurrent.futures import Future
@@ -13,7 +15,8 @@ from libags.errors import ValidationError
 from libags.geometry import KernelSpec, similarity_matrix
 from libags.model import fit_logistic, one_hot, predict_proba
 from libags.pipeline import PipelineConfig, REPORT_FORMAT, run_selection, train_final
-from libags.select import build_regions, greedy_select
+from libags.score import ScoreRecord
+from libags.select import GainStep, build_regions, greedy_select
 
 
 def tiny_config(**overrides):
@@ -175,7 +178,10 @@ class TestRunSelection:
 
         monkeypatch.setattr(pipeline_module, "knn_distances", oracle_knn)
         monkeypatch.setattr(pipeline_module, "median_knn_distance", lambda features, k, sq_dists: expansion_median_knn_distance(features, k))
-        monkeypatch.setattr(pipeline_module, "similarity_matrix", lambda kernel, features, sq_dists: expansion_similarity_matrix(kernel, features))
+        monkeypatch.setattr(
+            pipeline_module, "similarity_matrix",
+            lambda kernel, features, sq_dists, columns: expansion_similarity_matrix(kernel, features)[:, columns],
+        )
         monkeypatch.setattr(select_module, "_assign", direct_assign)
         monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
         assert report.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
@@ -208,14 +214,27 @@ class TestRunSelection:
         assert "m_hat is 3 of 3 candidates" in report.warnings[0]
 
     @pytest.mark.parametrize("scale", [1e-150, 1e-152, 1e-153, 1e-154])
-    def test_tiny_feature_scales_fail_naming_the_density(self, scale):
+    def test_tiny_feature_scales_fail_naming_the_density(self, scale, monkeypatch):
         # kNN densities near 1e300 drove lambda to 0 (and the coverage to inf at 1e-154)
         train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
         real = LabeledDataset(FeatureMatrix(train.features.values * scale), train.labels, 2)
         pool = CandidatePool(FeatureMatrix(pool.features.values * scale), pool.proposed_labels, pool.source_ids, 2)
         external = (np.random.default_rng(0).dirichlet(np.ones(2), real.n_rows), np.random.default_rng(1).dirichlet(np.ones(2), pool.n_rows))
-        with pytest.raises(ValidationError, match=r"kNN density reaches [0-9.]+e\+[0-9]{3}"):
+        calls = []
+        original = pipeline_module.sq_distances
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "sq_distances", counting)
+        with pytest.raises(ValidationError, match=r"kNN density reaches [0-9.]+e\+[0-9]{3}") as error:
             run_selection(real, pool, PipelineConfig(epochs=50), external_proba=external)
+        # At 1e-154 the kNN stage's own check fails, and the worker then skips
+        # the pool distances; at the other scales the allocation fails later.
+        knn_failed = str(error.value).startswith("features too small")
+        assert knn_failed == (scale == 1e-154)
+        assert len(calls) == (0 if knn_failed else 1)
 
     def test_dimension_mismatch(self):
         real = LabeledDataset(FeatureMatrix(np.ones((4, 2))), np.array([0, 1, 0, 1]), 2)
@@ -274,6 +293,52 @@ class TestRunSelection:
         ]
 
 
+def reference_json(report, include_timings=False):
+    """The report's payload through json.dumps: the text to_json must write."""
+    payload = {
+        "format": report.format,
+        "m_hat": report.m_hat,
+        "eta": report.eta,
+        "lambda": report.lambda_,
+        "tau": report.tau,
+        "selected": report.selected,
+        "soft_labels": report.soft_labels,
+        "scores": [record.as_dict() for record in report.scores],
+        "gains_log": [
+            {"step": g.step, "candidate": g.candidate, "facility_gain": g.facility_gain, "region_gain": g.region_gain, "combined_gain": g.combined_gain}
+            for g in report.gains_log
+        ],
+        "config": report.config,
+        "warnings": report.warnings,
+        "n_real": report.n_real,
+        "n_candidates": report.n_candidates,
+    }
+    if include_timings:
+        payload["stage_seconds"] = report.stage_seconds
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestReportJson:
+    def test_to_json_equals_json_dumps_of_the_payload(self):
+        train, _, pool = make_two_moons(60, 0.25, 0.4, 3)
+        picked = run_selection(train, pool, tiny_config(seed=3))
+        empty = run_selection(train, pool, tiny_config(), external_proba=(one_hot(train.labels, 2), one_hot(pool.proposed_labels, 2)))
+        assert picked.m_hat > 0 and empty.m_hat == 0 and empty.lambda_ is None
+        # Non-finite floats, an int, a numpy float and awkward strings take json's own spelling.
+        nonfinite = dataclasses.replace(
+            picked,
+            eta=math.nan,
+            warnings=['a "quoted" warning', "back\\slash", "non-ASCII: \u03bb \u2265 0, na\u00efve", "line\nbreak"],
+            scores=[ScoreRecord(math.nan, math.inf, -math.inf, 5e-324, -0.0, 0.0, 0.1, 1e308)] + picked.scores[1:],
+            gains_log=[GainStep(1, picked.selected[0], math.nan, math.inf, -math.inf)] + picked.gains_log[1:],
+            soft_labels=[[math.inf, -0.0]] + picked.soft_labels[1:],
+        )
+        mixed = dataclasses.replace(picked, scores=picked.scores[:-1] + [ScoreRecord(1, np.float64(0.1), 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)])
+        for report in (picked, empty, nonfinite, mixed):
+            for include_timings in (False, True):
+                assert report.to_json(include_timings) == reference_json(report, include_timings)
+
+
 class InlineExecutor:
     """Stands in for ThreadPoolExecutor: runs each submitted call at once on the calling thread."""
 
@@ -303,6 +368,9 @@ def overlap_case(case):
         pool = CandidatePool(FeatureMatrix(rng.normal(size=(500, 64))), rng.integers(0, 2, 500), (), 2)
         return real, pool, tiny_config(max_budget=60), (rng.dirichlet(np.ones(2), 80), rng.dirichlet(np.ones(2), 500))
     real, _, pool = make_two_moons(120, 0.3, 0.55, 3)
+    if case == "no-importance":
+        # one-hot probabilities: every importance, and so every value, is 0
+        return real, pool, tiny_config(seed=3), (one_hot(real.labels, 2), one_hot(pool.proposed_labels, 2))
     bandwidth = 0.05 if case == "float-bandwidth" else "median-knn"
     return real, pool, tiny_config(seed=3, kernel_bandwidth=bandwidth), None
 
@@ -316,7 +384,7 @@ class KernelFailure(RuntimeError):
 
 
 class TestKernelWorker:
-    @pytest.mark.parametrize("case", ["two-moons", "gaussian-d64", "float-bandwidth"])
+    @pytest.mark.parametrize("case", ["two-moons", "gaussian-d64", "float-bandwidth", "no-importance"])
     def test_report_bytes_equal_the_inline_run(self, case, monkeypatch):
         real, pool, config, external = overlap_case(case)
         interval = sys.getswitchinterval()
@@ -325,7 +393,7 @@ class TestKernelWorker:
             threaded = run_selection(real, pool, config, external_proba=external)
         finally:
             sys.setswitchinterval(interval)
-        assert threaded.m_hat > 0
+        assert (threaded.m_hat > 0) == (case != "no-importance")
         monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", InlineExecutor)
         assert threaded.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
 

@@ -642,6 +642,34 @@ class TestSplitBounds:
         assert got.selected == report.selected
         assert got.evaluations < want.evaluations / 2, (got.evaluations, want.evaluations)
 
+    @pytest.mark.parametrize("zeros", ["mostly zero", "negative zero", "all zero", "none zero"])
+    def test_valued_columns_match_full_reevaluation(self, zeros):
+        rng = np.random.default_rng(21)
+        for trial in range(30):
+            values, sim, regions = crowded_instance(rng)
+            M = values.size
+            if zeros == "negative zero":
+                values[(values == 0.0) & (rng.random(M) < 0.5)] = -0.0
+            elif zeros == "all zero":
+                values[:] = 0.0
+            elif zeros == "none zero":
+                values = rng.uniform(0.01, 1.0, M)
+            eta, budget = ((None, None), (None, int(rng.integers(0, M + 1))), (0.0, int(rng.integers(0, M + 1))))[trial % 3]
+            valued = np.flatnonzero(values)
+            got = greedy_select(values, np.ascontiguousarray(sim[:, valued]), regions, eta, max_budget=budget)
+            assert_same_state(got, full_reevaluation_greedy(values, sim, regions, eta, max_budget=budget))
+            from_full = greedy_select(values, sim, regions, eta, max_budget=budget)
+            assert_same_state(got, from_full)
+            assert got.evaluations == from_full.evaluations
+
+    @pytest.mark.parametrize("shape", [(5, 6), (6, 7), (6, 3), (6, 5), (6,), (6, 6, 1)])
+    def test_similarity_of_another_shape_rejected(self, shape):
+        feats = FeatureMatrix(np.random.default_rng(22).normal(size=(6, 2)))
+        regions = build_regions(feats, feats, np.ones(6), 2, 0)
+        values = np.array([0.5, 0.0, 0.2, 0.0, 0.1, 0.3])  # 4 valued columns
+        with pytest.raises(ValidationError, match=r"\(6, 6\) matrix or its \(6, 4\) valued columns"):
+            greedy_select(values, np.ones(shape), regions, None)
+
     @pytest.mark.parametrize("field", ["values", "r_region", "c"])
     def test_nan_input_rejected(self, field):
         feats = FeatureMatrix(np.random.default_rng(20).normal(size=(6, 2)))
