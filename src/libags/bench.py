@@ -129,6 +129,8 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
     for name in methods:
         if name not in METHODS:
             raise ValidationError(f"unknown method '{name}'; choose from {METHODS}")
+        if methods.count(name) > 1:
+            raise ValidationError(f"method '{name}' is listed more than once")
     results = {name: BenchResult(name, [], [], []) for name in methods}
 
     for seed in seeds:

@@ -2,9 +2,10 @@
 
 The classifier is trained by full-batch gradient descent on L2-regularized
 cross-entropy from a zero initialization, so a fit is fully deterministic.
-Targets may be hard class indices or full distributions; both paths share
-one training core, which is what makes "train on real plus soft-labeled
-synthetic" exactly reduce to plain training when the synthetic set is empty.
+Targets may be hard class indices or full distributions; hard labels are
+one-hot encoded and run the same training loop, which is what makes "train on
+real plus soft-labeled synthetic" exactly reduce to plain training when the
+synthetic set is empty.
 
 Stability: the loss is guaranteed non-increasing whenever
 ``lr <= 2 / (max_row_sq + 2*l2)`` where ``max_row_sq`` is the largest
@@ -27,8 +28,6 @@ class RffEncoder:
     """Random Fourier feature map approximating a Gaussian kernel."""
 
     projection: np.ndarray  # (d_in, d_out // 2)
-    bandwidth: float
-    seed: int
 
     @classmethod
     def create(cls, d_in: int, d_out: int, bandwidth: float, seed: int) -> "RffEncoder":
@@ -39,7 +38,7 @@ class RffEncoder:
         rng = np.random.default_rng(seed)
         proj = rng.normal(0.0, 1.0 / bandwidth, size=(d_in, d_out // 2))
         proj.setflags(write=False)
-        return cls(proj, float(bandwidth), int(seed))
+        return cls(proj)
 
     @property
     def input_dim(self) -> int:
@@ -75,51 +74,29 @@ class LogisticModel:
         return self.weights.shape[0]
 
 
-def _pairwise_sum(columns):
-    """Elementwise sum of equal-length arrays, added in the order of numpy's pairwise ``sum``.
-
-    For fewer than 8 terms that order is left to right; from 8 terms on
-    it is eight running sums combined as a tree, split in halves above 128
-    terms. ``_pairwise_sum`` of a matrix's columns is therefore bit for
-    bit its ``sum(axis=1)``.
-    """
-    n = len(columns)
-    if n > 128:
-        half = n // 2 - (n // 2) % 8
-        return _pairwise_sum(columns[:half]) + _pairwise_sum(columns[half:])
-    if n < 8:
-        total = columns[0]
-        for column in columns[1:]:
-            total = total + column
-        return total
-    stop = n - n % 8
-    acc = list(columns[:8])
-    for start in range(8, stop, 8):
-        acc = [a + column for a, column in zip(acc, columns[start:start + 8])]
-    total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
-    for column in columns[stop:]:
-        total = total + column
-    return total
-
-
 def _log_softmax(logits):
     """Row-wise log-softmax of an (n, K) logit matrix, shifted by the row maximum.
 
-    The row maximum and the row sum of the exponentials run over the K
-    class columns, a maximum chained from class 0 up and the sum in
-    ``_pairwise_sum``'s order, which is left to right from class 0 for
-    K < 8. That costs O(K) numpy calls on length-n columns, far cheaper
-    for a few classes than a reduction along axis 1, and gives the same
-    bits as ``max(axis=1)`` and ``sum(axis=1)``. ``exp`` runs once on
-    the whole matrix.
+    Below 8 classes the row maximum and the row sum of the exponentials
+    run over the class columns from class 0 up: numpy's ``sum(axis=1)``
+    adds fewer than 8 terms left to right, so this gives its bits, and
+    K numpy calls on length-n columns are far cheaper than a reduction
+    along a short axis. From 8 classes on numpy's pairwise summation tree
+    sets the order, and ``max(axis=1)`` and ``sum(axis=1)`` are called
+    directly. ``exp`` runs once on the whole matrix.
     """
-    columns = [logits[:, k] for k in range(logits.shape[1])]
-    peak = columns[0]
-    for column in columns[1:]:
-        peak = np.maximum(peak, column)
+    n_classes = logits.shape[1]
+    if n_classes >= 8:
+        shifted = logits - logits.max(axis=1)[:, None]
+        return shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
+    peak = logits[:, 0]
+    for k in range(1, n_classes):
+        peak = np.maximum(peak, logits[:, k])
     shifted = logits - peak[:, None]
     exp = np.exp(shifted)
-    total = _pairwise_sum([exp[:, k] for k in range(exp.shape[1])])
+    total = exp[:, 0]
+    for k in range(1, n_classes):
+        total = total + exp[:, k]
     return shifted - np.log(total)[:, None]
 
 
@@ -158,27 +135,6 @@ def cross_entropy(weights, bias, features, targets, l2: float):
     return loss, resid.T @ X + l2 * W, resid.cumsum(axis=0)[-1]
 
 
-def _fit_core(X, T, n_classes, l2, epochs, lr):
-    if epochs < 1:
-        raise ValidationError(f"epochs must be at least 1, got {epochs}")
-    if lr <= 0:
-        raise ValidationError(f"lr must be positive, got {lr}")
-    if l2 < 0:
-        raise ValidationError(f"l2 must be nonnegative, got {l2}")
-    W = np.zeros((n_classes, X.shape[1]))
-    b = np.zeros(n_classes)
-    losses = []
-    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned about
-        for epoch in range(epochs):
-            loss, grad_w, grad_b = cross_entropy(W, b, X, T, l2)
-            if not np.isfinite(loss):
-                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
-            losses.append(loss)
-            W -= lr * grad_w
-            b -= lr * grad_b
-    return W, b, losses
-
-
 def fit_logistic(features: FeatureMatrix, labels, n_classes: int, l2: float, epochs: int, lr: float) -> LogisticModel:
     """Fit on hard class labels; the optimizer is deterministic (zero init, fixed iteration order)."""
     return fit_logistic_soft(features, one_hot(labels, n_classes), l2, epochs, lr)
@@ -189,7 +145,24 @@ def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, 
     T = np.asarray(targets, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != features.n_rows:
         raise ValidationError("targets must be a (rows, n_classes) matrix")
-    W, b, losses = _fit_core(features.values, T, T.shape[1], l2, epochs, lr)
+    if epochs < 1:
+        raise ValidationError(f"epochs must be at least 1, got {epochs}")
+    if lr <= 0:
+        raise ValidationError(f"lr must be positive, got {lr}")
+    if l2 < 0:
+        raise ValidationError(f"l2 must be nonnegative, got {l2}")
+    X = features.values
+    W = np.zeros((T.shape[1], X.shape[1]))
+    b = np.zeros(T.shape[1])
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned about
+        for epoch in range(epochs):
+            loss, grad_w, grad_b = cross_entropy(W, b, X, T, l2)
+            if not np.isfinite(loss):
+                raise DivergenceError(f"non-finite training loss at epoch {epoch}")
+            losses.append(loss)
+            W -= lr * grad_w
+            b -= lr * grad_b
     return LogisticModel(W, b, float(l2), tuple(losses))
 
 

@@ -240,19 +240,28 @@ def _validate_proba(proba, rows: int, n_classes: int, what: str) -> np.ndarray:
 
 
 def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig) -> tuple:
-    """Each candidate's kNN density and support validity, and the seconds they took."""
+    """Each candidate's kNN density and support validity, the report's kNN warnings, and the seconds they took."""
     t0 = time.perf_counter()
     k = min(config.knn_k, real.n_rows - 1)
     calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
     cand_dists = knn_distances(real.features, candidates.features, k)
-    density = knn_density(cand_dists, real.n_rows, real.features.n_cols)
+    # An overflowing density is reported below; numpy's error state is per
+    # thread, so the caller's cannot silence it here.
+    with np.errstate(over="ignore"):
+        density = knn_density(cand_dists, real.n_rows, real.features.n_cols)
     peak_density = float(density.max())
     if not math.isfinite(real.n_rows * peak_density):
         raise ValidationError(
             f"features too small: the kNN density reaches {peak_density:g}, so the real-data coverage n_real * density overflows"
         )
+    warnings = []
+    if not cand_dists[:, k - 1].any():
+        warnings.append(
+            f"every candidate lies at distance 0 from its {k} nearest real rows (the features are too small or "
+            f"duplicated), so the kNN density falls back to radius 1 and reads {peak_density:g} for every candidate"
+        )
     support = support_validity(cand_dists, calibration)
-    return density, support, time.perf_counter() - t0
+    return density, support, warnings, time.perf_counter() - t0
 
 
 def _distance_stage(neighbors, features: FeatureMatrix, config: PipelineConfig):
@@ -338,7 +347,8 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
             cand_proba = predict_proba(scoring, candidates.features)
         timings["scoring_model"] = clock() - t0
 
-        density, support, timings["geometry"] = neighbors.result()
+        density, support, knn_warnings, timings["geometry"] = neighbors.result()
+        warnings.extend(knn_warnings)
         peak_density = float(density.max())
 
         t0 = clock()

@@ -105,6 +105,10 @@ class TestRunBench:
         with pytest.raises(ValidationError):
             run_bench(["bogus"], [0], PipelineConfig())
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(ValidationError, match="'erm' is listed more than once"):
+            run_bench(["erm", "random", "erm"], [0], PipelineConfig())
+
     def test_csv_export(self, tmp_path):
         result = BenchResult("erm", [0.9, 0.8], [0.95, 0.9], [0, 0])
         path = tmp_path / "results.csv"

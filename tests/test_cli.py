@@ -70,6 +70,20 @@ class TestSelectCommand:
         assert main(args + ["--out", str(out_b)]) == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_three_class_pool(self, blobs, fast_config, tmp_path):
+        real, pool = blobs(3)
+        real_path, cand_path, out = tmp_path / "real.csv", tmp_path / "cands.csv", tmp_path / "report.json"
+        write_labeled_csv(real_path, real)
+        write_candidate_csv(cand_path, pool)
+        code = main([
+            "select", "--real", str(real_path), "--candidates", str(cand_path), "--out", str(out),
+            "--n-classes", "3", "--config", str(fast_config), "--reproducible",
+        ])
+        assert code == 0
+        payload = json.loads(out.read_text())
+        assert payload["m_hat"] > 0
+        assert all(len(row) == 3 for row in payload["soft_labels"])
+
     def test_external_probability_csvs(self, moon_files, fast_config, tmp_path):
         real, cands = moon_files
         train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
@@ -289,6 +303,12 @@ class TestBenchCommand:
 
     def test_unknown_method_exits_one(self, tmp_path):
         assert main(["bench", "--methods", "bogus", "--seeds", "0", "--out", str(tmp_path)]) == 1
+
+    def test_repeated_method_exits_one(self, tmp_path, capsys):
+        assert main(["bench", "--methods", "erm,erm", "--seeds", "0", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "'erm'" in err
+        assert not (tmp_path / "results.csv").exists()
 
     def test_bad_seed_list_exits_one(self, tmp_path):
         assert main(["bench", "--methods", "erm", "--seeds", "zero", "--out", str(tmp_path)]) == 1

@@ -236,6 +236,28 @@ class TestRunSelection:
         assert knn_failed == (scale == 1e-154)
         assert len(calls) == (0 if knn_failed else 1)
 
+    def test_overflowing_knn_density_fails_without_a_numpy_warning(self):
+        # The density's exp overflows on the worker thread, whose numpy error
+        # state is its own; under filterwarnings = error a leaked
+        # RuntimeWarning would replace the ValidationError.
+        train, _, pool = make_two_moons(100, 0.25, 0.4, 0)
+        real = LabeledDataset(FeatureMatrix(train.features.values * 1e-160), train.labels, 2)
+        pool = CandidatePool(FeatureMatrix(pool.features.values * 1e-160), pool.proposed_labels, pool.source_ids, 2)
+        with pytest.raises(ValidationError, match="features too small: the kNN density reaches inf"):
+            run_selection(real, pool, PipelineConfig(epochs=50))
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200, 1e-300])
+    def test_warns_when_every_knn_distance_underflows_to_zero(self, scale):
+        # Every squared distance underflows, so each candidate's density
+        # falls back to radius 1 and all densities are equal
+        train, _, pool = make_two_moons(100, 0.25, 0.4, 0)
+        real = LabeledDataset(FeatureMatrix(train.features.values * scale), train.labels, 2)
+        pool = CandidatePool(FeatureMatrix(pool.features.values * scale), pool.proposed_labels, pool.source_ids, 2)
+        report = run_selection(real, pool, PipelineConfig(epochs=50))
+        assert len({s.density for s in report.scores}) == 1
+        warned = [w for w in report.warnings if w.startswith("every candidate lies at distance 0 from its 10 nearest real rows")]
+        assert len(warned) == 1
+
     def test_dimension_mismatch(self):
         real = LabeledDataset(FeatureMatrix(np.ones((4, 2))), np.array([0, 1, 0, 1]), 2)
         pool = CandidatePool(FeatureMatrix(np.ones((3, 3))), np.array([0, 1, 0]), (), 2)
@@ -278,6 +300,17 @@ class TestRunSelection:
         if soft.size:
             assert np.all(soft >= 0)
             np.testing.assert_allclose(soft.sum(axis=1), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("n_classes", [3, 9])
+    def test_multi_class_soft_labels_are_distributions_and_reruns_identical(self, n_classes, blobs):
+        # From 8 classes on the softmax reduces along numpy's own axis
+        real, pool = blobs(n_classes)
+        report = run_selection(real, pool, tiny_config())
+        soft = np.asarray(report.soft_labels)
+        assert report.m_hat > 0 and soft.shape == (report.m_hat, n_classes)
+        assert np.all(soft >= 0)
+        np.testing.assert_allclose(soft.sum(axis=1), 1.0, atol=1e-12)
+        assert run_selection(real, pool, tiny_config()).to_json() == report.to_json()
 
     def test_max_budget_respected(self):
         train, _, pool = make_two_moons(60, 0.3, 0.5, 5)
