@@ -2,11 +2,14 @@
 
 Each candidate j gets ``G_j = max(0, sqrt(r_j / lambda) - coverage_j)``:
 importance opens the budget, existing real coverage closes it. The
-multiplier lambda is the unique value at which the total allocated mass
-hits the requested target; since the total is continuous and strictly
-decreasing in lambda wherever it is positive, bisection solves it. The
-search runs in log(lambda) space, which keeps extreme coverage scales
-(tiny or astronomically large density estimates) inside float range.
+multiplier lambda is the value at which the total allocated mass hits
+the requested target. With ``s = lambda ** -0.5`` and ``a = sqrt(r)``
+the total ``sum_j max(0, a_j s - coverage_j)`` is piecewise linear in
+``s``, and candidate j starts adding to it at the kink
+``s_j = coverage_j / a_j``. One sort of the kinks and two cumulative
+sums find the segment that holds the target, and one division solves
+it there: the water-filling step of sort-based simplex projection
+(Duchi et al. 2008, "Efficient projections onto the l1-ball").
 
 The test suite checks that this closed form minimizes the
 inverse-evidence objective it is derived from, against an independent
@@ -21,9 +24,6 @@ import numpy as np
 
 from .errors import NoPositiveImportance, ValidationError
 
-BISECT_REL_TOL = 1e-6
-BISECT_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class AllocationSolution:
@@ -32,24 +32,12 @@ class AllocationSolution:
     total_mass: float
 
 
-def _mass_at(log_lambda: float, log_r, coverage) -> tuple:
-    """Total allocated mass and per-candidate scores at exp(log_lambda).
-
-    An overflow to inf is left unwarned: the bisection reads an infinite
-    mass as above the target.
-    """
-    with np.errstate(over="ignore"):
-        scores = np.exp(0.5 * (log_r - log_lambda)) - coverage
-        np.maximum(scores, 0.0, out=scores)
-        return float(scores.sum()), scores
-
-
 def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:
     """Find lambda so the summed clipped scores equal ``target_mass``.
 
-    The initial bracket is ``[min_pos_r / (max(coverage) + target)^2,
-    max_r * 1e6]`` and is widened when an endpoint does not yet straddle
-    the target. Terminates when the mass is within 1e-6 relative.
+    Exact up to rounding. Coverage so large that the target falls below
+    its float resolution leaves the mass off the target, and kinks that
+    overflow leave lambda at 0; both pass unwarned, for callers to check.
     """
     r = np.asarray(r, dtype=np.float64)
     coverage = np.asarray(coverage, dtype=np.float64)
@@ -63,38 +51,20 @@ def solve_lambda(r, coverage, target_mass: float) -> AllocationSolution:
     if not np.any(positive):
         raise NoPositiveImportance("all candidate importances are zero")
 
-    # Work in log space; r == 0 rows contribute nothing at any lambda.
-    log_r = np.full(r.shape, -np.inf)
-    log_r[positive] = np.log(r[positive])
-    tol = BISECT_REL_TOL * target_mass
-
-    lo = np.log(r[positive].min()) - 2.0 * np.log(coverage.max() + target_mass)
-    hi = np.log(r.max() * 1e6)
-    mass_lo, scores = _mass_at(lo, log_r, coverage)
-    for _ in range(200):
-        if mass_lo >= target_mass - tol:
-            break
-        lo -= 45.0
-        mass_lo, scores = _mass_at(lo, log_r, coverage)
-    if abs(mass_lo - target_mass) <= tol:
-        return AllocationSolution(float(np.exp(lo)), scores, mass_lo)
-    mass_hi, scores = _mass_at(hi, log_r, coverage)
-    for _ in range(200):
-        if mass_hi <= target_mass + tol:
-            break
-        hi += 45.0
-        mass_hi, scores = _mass_at(hi, log_r, coverage)
-    if abs(mass_hi - target_mass) <= tol:
-        return AllocationSolution(float(np.exp(hi)), scores, mass_hi)
-
-    mid, mass_mid, scores = lo, mass_lo, scores
-    for _ in range(BISECT_MAX_ITER):
-        mid = 0.5 * (lo + hi)
-        mass_mid, scores = _mass_at(mid, log_r, coverage)
-        if abs(mass_mid - target_mass) <= tol:
-            break
-        if mass_mid > target_mass:
-            lo = mid
-        else:
-            hi = mid
-    return AllocationSolution(float(np.exp(mid)), scores, mass_mid)
+    # r == 0 rows contribute nothing at any lambda.
+    a = np.sqrt(r[positive])
+    c = coverage[positive]
+    with np.errstate(over="ignore", invalid="ignore"):
+        kinks = c / a
+        order = np.argsort(kinks, kind="stable")
+        a_sum = np.cumsum(a[order])
+        c_sum = np.cumsum(c[order])
+        # Mass at each kink, where the candidates sorted before it are on.
+        # Kink 0 carries no mass, so the segment k that holds the target
+        # ends at the first later kink whose mass reaches it (or is the last).
+        kink_mass = a_sum * kinks[order] - c_sum
+        k = int(np.searchsorted(kink_mass[1:], target_mass))
+        s = (target_mass + c_sum[k]) / a_sum[k]
+        scores = np.zeros(r.shape)
+        scores[positive] = np.maximum(a * s - c, 0.0)
+        return AllocationSolution(float((1.0 / s) ** 2), scores, float(scores.sum()))

@@ -131,6 +131,10 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
             raise ValidationError(f"unknown method '{name}'; choose from {METHODS}")
         if methods.count(name) > 1:
             raise ValidationError(f"method '{name}' is listed more than once")
+    seeds = list(seeds)
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise ValidationError(f"seed {seed} is listed more than once")
     results = {name: BenchResult(name, [], [], []) for name in methods}
 
     for seed in seeds:

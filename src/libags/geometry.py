@@ -328,7 +328,8 @@ def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None
         for start in range(0, M, rows):
             block = S[start:start + rows]
             np.negative(block, out=block)
-            block /= scale
+            with np.errstate(over="ignore"):  # a subnormal scale: exp(-inf) = 0 is the limit
+                block /= scale
             np.exp(block, out=block)
         np.fill_diagonal(S, 1.0)
         return S
@@ -343,7 +344,8 @@ def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None
         np.take(S[start:start + rows], columns, axis=1, out=block, mode="clip")
         dest = out[start:start + rows]
         np.negative(block, out=dest)
-        dest /= scale
+        with np.errstate(over="ignore"):
+            dest /= scale
         np.exp(dest, out=dest)
     out[columns, np.arange(u)] = 1.0
     return out

@@ -381,6 +381,12 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
                 f"allocation failed: lambda is {lambda_!r}, not a positive finite number; the kNN density reaches "
                 f"{peak_density:g}, so rescale the features"
             )
+        if lambda_ is not None and not abs(solution.total_mass - target_mass) <= 1e-6 * target_mass:
+            warnings.append(
+                f"the allocation reached a total mass of {solution.total_mass:g} instead of its target "
+                f"{target_mass:g}: the real-data coverage n_real * density spans {coverage.min():g} to "
+                f"{coverage.max():g}, and at that scale float rounding swamps the target; rescale the features"
+            )
         values = gap_scores * support
         timings["allocation"] = clock() - t0
         # A zero-valued candidate adds nothing to any facility gain, so the

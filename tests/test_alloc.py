@@ -140,6 +140,41 @@ class TestSolveLambda:
             sol = solve_lambda(r, coverage, target)
             assert abs(sol.total_mass - target) <= 1e-6 * target
 
+    def test_mass_exact_to_rounding_on_criterion_6_instances(self):
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            size = int(rng.integers(1, 501))
+            r = rng.uniform(0, 2, size)
+            r[rng.random(size) < 0.2] = 0.0
+            if not np.any(r > 0):
+                r[int(rng.integers(size))] = 1.0
+            coverage = rng.uniform(0, 5, size)
+            target = float(rng.uniform(0.05, 100.0))
+            sol = solve_lambda(r, coverage, target)
+            assert abs(sol.total_mass - target) <= 1e-12 * target
+
+    @pytest.mark.parametrize("target", [0.5, 3.0, 12.0, 40.0])
+    def test_tied_kinks_get_equal_scores(self, target):
+        # Kinks c / sqrt(r): 1 for the first four, 2 for the next three.
+        # Equal rows tie exactly; rows sharing a kink share G / sqrt(r).
+        r = np.array([4.0, 1.0, 4.0, 1.0, 1.0, 0.25, 1.0, 9.0])
+        coverage = np.array([2.0, 1.0, 2.0, 1.0, 2.0, 1.0, 2.0, 0.5])
+        sol = solve_lambda(r, coverage, target)
+        g = sol.gap_scores
+        assert g[0] == g[2] and g[1] == g[3] and g[4] == g[6]
+        per_a = g / np.sqrt(r)
+        np.testing.assert_allclose(per_a[:4], per_a[0], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(per_a[4:7], per_a[4], rtol=1e-12, atol=1e-15)
+        assert abs(sol.total_mass - target) <= 1e-12 * target
+
+    def test_zero_coverage_splits_the_target_by_sqrt_importance(self):
+        r = np.random.default_rng(3).uniform(0, 2, 40)
+        r[::7] = 0.0
+        a = np.sqrt(r)
+        sol = solve_lambda(r, np.zeros(40), 17.0)
+        np.testing.assert_allclose(sol.gap_scores, a * 17.0 / a.sum(), rtol=1e-14)
+        assert sol.lambda_ == pytest.approx((a.sum() / 17.0) ** 2, rel=1e-14)
+
     def test_scores_consistent_with_gap_score(self):
         rng = np.random.default_rng(1)
         r = rng.uniform(0, 1, 50)

@@ -105,9 +105,13 @@ class TestRunBench:
         with pytest.raises(ValidationError):
             run_bench(["bogus"], [0], PipelineConfig())
 
-    def test_repeated_method_rejected(self):
-        with pytest.raises(ValidationError, match="'erm' is listed more than once"):
-            run_bench(["erm", "random", "erm"], [0], PipelineConfig())
+    @pytest.mark.parametrize("methods, seeds, match", [
+        (["erm", "random", "erm"], [0], "method 'erm' is listed more than once"),
+        (["erm"], [0, 1, 0], "seed 0 is listed more than once"),
+    ], ids=["method", "seed"])
+    def test_repeated_method_rejected(self, methods, seeds, match):
+        with pytest.raises(ValidationError, match=match):
+            run_bench(methods, seeds, PipelineConfig())
 
     def test_csv_export(self, tmp_path):
         result = BenchResult("erm", [0.9, 0.8], [0.95, 0.9], [0, 0])

@@ -304,10 +304,12 @@ class TestBenchCommand:
     def test_unknown_method_exits_one(self, tmp_path):
         assert main(["bench", "--methods", "bogus", "--seeds", "0", "--out", str(tmp_path)]) == 1
 
-    def test_repeated_method_exits_one(self, tmp_path, capsys):
-        assert main(["bench", "--methods", "erm,erm", "--seeds", "0", "--out", str(tmp_path)]) == 1
+    @pytest.mark.parametrize("methods, seeds, named", [("erm,erm", "0", "'erm'"), ("erm", "0,0", "seed 0")],
+                             ids=["method", "seed"])
+    def test_repeated_method_exits_one(self, tmp_path, capsys, methods, seeds, named):
+        assert main(["bench", "--methods", methods, "--seeds", seeds, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: ") and "'erm'" in err
+        assert err.count("\n") == 1 and err.startswith("error: ") and named in err
         assert not (tmp_path / "results.csv").exists()
 
     def test_bad_seed_list_exits_one(self, tmp_path):

@@ -355,6 +355,15 @@ class TestSimilarity:
         assert np.array_equal(S, S.T)
         assert np.all((S >= 0) & (S <= 1))
 
+    @pytest.mark.parametrize("columns", [None, [0, 2, 3]])
+    def test_subnormal_scale_gives_zero_off_diagonal_without_a_warning(self, columns):
+        # 2 * 1e-160**2 is subnormal, so distance / scale overflows to inf;
+        # under filterwarnings = error a leaked RuntimeWarning fails this.
+        feats = FeatureMatrix(np.random.default_rng(13).normal(size=(6, 2)))
+        S = similarity_matrix(KernelSpec(1e-160), feats, columns=columns)
+        keep = np.arange(6) if columns is None else np.asarray(columns)
+        assert np.array_equal(S, np.eye(6)[:, keep])
+
     def test_bandwidth_must_be_positive(self):
         with pytest.raises(ValidationError):
             KernelSpec(0.0)

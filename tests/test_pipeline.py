@@ -103,6 +103,19 @@ class TestRunSelection:
         warned = [w for w in report.warnings if "coverage n_real * density is below" in w]
         assert len(warned) == underflow and all("341 feature columns" in w for w in warned)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    def test_warns_when_the_allocation_misses_its_target_mass(self, scale):
+        # d=64 Gaussians at x1e-3: the coverage reaches about 1e150, and a
+        # target of 400 is below its float resolution
+        rng = np.random.default_rng(4)
+        real = LabeledDataset(FeatureMatrix(scale * rng.normal(size=(40, 64))), np.repeat([0, 1], 20), 2)
+        pool = CandidatePool(FeatureMatrix(scale * rng.normal(size=(60, 64))), np.repeat([0, 1], 30), (), 2)
+        report = run_selection(real, pool, tiny_config(epochs=50))
+        missed = abs(sum(s.gap_score for s in report.scores) - 400.0) > 1e-6 * 400.0
+        assert missed == (scale == 1e-3)
+        warned = [w for w in report.warnings if w.startswith("the allocation reached a total mass of")]
+        assert len(warned) == missed and all("instead of its target 400" in w for w in warned)
+
     def test_two_moons_defaults_selects_supported_candidates(self):
         train, _, pool = make_two_moons(200, 0.3, 0.55, 0)
         report = run_selection(train, pool, PipelineConfig())
