@@ -5,7 +5,16 @@ cross-entropy from a zero initialization, so a fit is fully deterministic.
 Targets may be hard class indices or full distributions; hard labels are
 one-hot encoded and run the same training loop, which is what makes "train on
 real plus soft-labeled synthetic" exactly reduce to plain training when the
-synthetic set is empty.
+synthetic set is empty. Target rows must be distributions: finite,
+nonnegative and summing to 1.
+
+One fit allocates its per-epoch temporaries once (``_Work``) and every
+epoch rewrites them with ``out=``. Below 8 classes the log-softmax runs on
+a class-major (K, n) copy of the logits, so its passes run along the rows
+rather than along the short class axis. The loss, the two matrix products
+and the bias gradient's row-order running sum keep the operand layouts
+and summation orders the trainer has always had, so weights, bias, loss
+curve and probabilities do not change in a single bit.
 
 Stability: the loss is guaranteed non-increasing whenever
 ``lr <= 2 / (max_row_sq + 2*l2)`` where ``max_row_sq`` is the largest
@@ -15,6 +24,7 @@ Stability: the loss is guaranteed non-increasing whenever
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +76,9 @@ class LogisticModel:
     loss_curve: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
+        shapes = np.shape(self.weights), np.shape(self.bias)
+        if len(shapes[0]) != 2 or shapes[1] != shapes[0][:1]:
+            raise ValidationError(f"weights must be (n_classes, n_features) and bias (n_classes,), got shapes {shapes[0]} and {shapes[1]}")
         if not (np.all(np.isfinite(self.weights)) and np.all(np.isfinite(self.bias))):
             raise ValidationError("model parameters must be finite")
 
@@ -74,40 +87,88 @@ class LogisticModel:
         return self.weights.shape[0]
 
 
-def _log_softmax(logits):
-    """Row-wise log-softmax of an (n, K) logit matrix, shifted by the row maximum.
+class _Work:
+    """The temporaries of one epoch, allocated once per fit and rewritten with ``out=``.
 
-    Below 8 classes the row maximum and the row sum of the exponentials
-    run over the class columns from class 0 up: numpy's ``sum(axis=1)``
-    adds fewer than 8 terms left to right, so this gives its bits, and
-    K numpy calls on length-n columns are far cheaper than a reduction
-    along a short axis. From 8 classes on numpy's pairwise summation tree
-    sets the order, and ``max(axis=1)`` and ``sum(axis=1)`` are called
-    directly. ``exp`` runs once on the whole matrix.
+    Below 8 classes the log-softmax runs on ``shifted`` and ``exp`` laid out
+    class-major, (K, n): each class is one contiguous row, so every pass
+    runs along the n rows instead of along the short class axis. From 8
+    classes on they are (n, K), the layout whose axis-1 reductions keep
+    numpy's pairwise summation tree. Every other (n, K) array is C-order:
+    the loss sums its terms in row order, and ``resid.T @ X`` keeps the
+    operand layout the fits have always had, since OpenBLAS kernels may
+    round another layout differently.
     """
-    n_classes = logits.shape[1]
+
+    def __init__(self, n_rows: int, n_classes: int, n_cols: int):
+        by_class = (n_classes, n_rows) if n_classes < 8 else (n_rows, n_classes)
+        self.logits = np.empty((n_rows, n_classes))  # X @ W.T, without the bias
+        self.shifted = np.empty(by_class)  # logits plus bias, minus their row maximum
+        self.exp = np.empty(by_class)
+        self.peak = np.empty(n_rows)  # row maximum
+        self.total = np.empty(n_rows)  # row sum of exp, then its log
+        self.logp = np.empty((n_rows, n_classes))  # log-probabilities, then the residual
+        self.terms = np.empty((n_rows, n_classes))  # loss terms, then running sums of the residual rows
+        self.grad_w = np.empty((n_classes, n_cols))
+        self.decay = np.empty((n_classes, n_cols))  # W**2, then l2 * W
+
+
+def _log_softmax(logits, bias, work: _Work | None = None) -> np.ndarray:
+    """Row-wise log-softmax of ``logits + bias``, (n, K), shifted by the row maximum.
+
+    The result is ``work.logp``. Below 8 classes the bias is added while
+    copying the logits class-major, and the row maximum and the row sum
+    of the exponentials reduce over axis 0 of that copy, which numpy runs
+    as elementwise passes over the class rows from class 0 up: its
+    ``sum(axis=1)`` adds fewer than 8 terms left to right, so this gives
+    its bits, and passes along contiguous rows of length n are far
+    cheaper than a reduction along a short axis. From 8 classes on
+    numpy's pairwise summation tree sets the order, and ``max(axis=1)``
+    and ``sum(axis=1)`` run on the (n, K) layout.
+    """
+    n_rows, n_classes = logits.shape
+    if work is None:
+        work = _Work(n_rows, n_classes, 0)
+    shifted, peak, total = work.shifted, work.peak, work.total
     if n_classes >= 8:
-        shifted = logits - logits.max(axis=1)[:, None]
-        return shifted - np.log(np.exp(shifted).sum(axis=1))[:, None]
-    peak = logits[:, 0]
-    for k in range(1, n_classes):
-        peak = np.maximum(peak, logits[:, k])
-    shifted = logits - peak[:, None]
-    exp = np.exp(shifted)
-    total = exp[:, 0]
-    for k in range(1, n_classes):
-        total = total + exp[:, k]
-    return shifted - np.log(total)[:, None]
+        np.add(logits, bias, out=shifted)
+        shifted -= np.max(shifted, axis=1, out=peak)[:, None]
+        np.sum(np.exp(shifted, out=work.exp), axis=1, out=total)
+        return np.subtract(shifted, np.log(total, out=total)[:, None], out=work.logp)
+    np.add(logits.T, bias[:, None], out=shifted)
+    shifted -= np.maximum.reduce(shifted, axis=0, out=peak)
+    np.add.reduce(np.exp(shifted, out=work.exp), axis=0, out=total)
+    # written through the transpose, so the loop runs along the rows
+    np.subtract(shifted, np.log(total, out=total), out=work.logp.T)
+    return work.logp
 
 
 def predict_proba(model: LogisticModel, features: FeatureMatrix) -> np.ndarray:
     """Row-wise softmax probabilities; strictly positive, rows sum to 1."""
     if features.n_cols != model.weights.shape[1]:
         raise ValidationError(f"model expects {model.weights.shape[1]} columns, got {features.n_cols}")
-    probs = np.exp(_log_softmax(features.values @ model.weights.T + model.bias))
+    probs = np.exp(_log_softmax(features.values @ model.weights.T, np.asarray(model.bias, dtype=np.float64)))
     # exp can underflow to exact zero for extreme logits; keep rows strictly positive
     probs = np.maximum(probs, 1e-300)
     return probs / probs.sum(axis=1, keepdims=True)
+
+
+def validate_proba(proba, rows: int, n_classes: int, what: str) -> np.ndarray:
+    """``proba`` as a float (rows, n_classes) matrix whose rows are distributions.
+
+    A row is a distribution when its entries are finite and nonnegative and
+    sum to 1 within 1e-6; the error names the first row that is not.
+    """
+    proba = np.asarray(proba, dtype=np.float64)
+    if proba.shape != (rows, n_classes):
+        raise ValidationError(f"{what} probabilities must have shape ({rows}, {n_classes}), got {proba.shape}")
+    # NaN and -inf fail the first test, +inf the second
+    with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+        ok = (proba >= 0.0).all(axis=1) & (np.abs(proba.sum(axis=1) - 1.0) <= 1e-6)
+    if not ok.all():
+        row = int(ok.argmin())
+        raise ValidationError(f"{what} probability row {row} must be finite and nonnegative and sum to 1, got {proba[row].tolist()}")
+    return proba
 
 
 def one_hot(labels, n_classes: int) -> np.ndarray:
@@ -119,20 +180,29 @@ def one_hot(labels, n_classes: int) -> np.ndarray:
     return out
 
 
-def cross_entropy(weights, bias, features, targets, l2: float):
+def cross_entropy(weights, bias, features, targets, l2: float, work: _Work | None = None):
     """Mean cross-entropy against distribution targets plus (l2/2)*||W||^2.
 
     Returns ``(loss, grad_w, grad_b)``, the loss and its analytic gradient
     with respect to the weights and the bias; this is what training runs.
+    The gradients are views of ``work``, which the next call overwrites.
     """
     X = np.asarray(features, dtype=np.float64)
     T = np.asarray(targets, dtype=np.float64)
     W = np.asarray(weights, dtype=np.float64)
-    logp = _log_softmax(X @ W.T + bias)
-    loss = float(-(T * logp).sum() / X.shape[0] + 0.5 * l2 * (W**2).sum())
-    resid = (np.exp(logp) - T) / X.shape[0]
+    b = np.asarray(bias, dtype=np.float64)
+    n_rows = X.shape[0]
+    if work is None:
+        work = _Work(n_rows, W.shape[0], X.shape[1])
+    logp = _log_softmax(np.matmul(X, W.T, out=work.logits), b, work)
+    loss = -float(np.multiply(T, logp, out=work.terms).sum()) / n_rows + 0.5 * l2 * float(np.square(W, out=work.decay).sum())
+    resid = np.exp(logp, out=logp)
+    resid -= T
+    resid /= n_rows
+    grad_w = np.matmul(resid.T, X, out=work.grad_w)
+    grad_w += np.multiply(l2, W, out=work.decay)
     # The last running sum adds the rows in the order sum(axis=0) does, in half the time.
-    return loss, resid.T @ X + l2 * W, resid.cumsum(axis=0)[-1]
+    return loss, grad_w, np.add.accumulate(resid, axis=0, out=work.terms)[-1]
 
 
 def fit_logistic(features: FeatureMatrix, labels, n_classes: int, l2: float, epochs: int, lr: float) -> LogisticModel:
@@ -141,10 +211,11 @@ def fit_logistic(features: FeatureMatrix, labels, n_classes: int, l2: float, epo
 
 
 def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, lr: float) -> LogisticModel:
-    """Fit on distribution targets (rows of ``targets`` sum to 1)."""
+    """Fit on distribution targets: each row of ``targets`` is finite, nonnegative and sums to 1."""
     T = np.asarray(targets, dtype=np.float64)
     if T.ndim != 2 or T.shape[0] != features.n_rows:
         raise ValidationError("targets must be a (rows, n_classes) matrix")
+    validate_proba(T, *T.shape, "target")
     if epochs < 1:
         raise ValidationError(f"epochs must be at least 1, got {epochs}")
     if lr <= 0:
@@ -154,15 +225,16 @@ def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, 
     X = features.values
     W = np.zeros((T.shape[1], X.shape[1]))
     b = np.zeros(T.shape[1])
+    work = _Work(X.shape[0], *W.shape)
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected, not warned about
         for epoch in range(epochs):
-            loss, grad_w, grad_b = cross_entropy(W, b, X, T, l2)
-            if not np.isfinite(loss):
+            loss, grad_w, grad_b = cross_entropy(W, b, X, T, l2, work)
+            if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite training loss at epoch {epoch}")
             losses.append(loss)
-            W -= lr * grad_w
-            b -= lr * grad_b
+            W -= np.multiply(lr, grad_w, out=grad_w)
+            b -= np.multiply(lr, grad_b, out=grad_b)
     return LogisticModel(W, b, float(l2), tuple(losses))
 
 
@@ -197,6 +269,10 @@ def load_model(path) -> LogisticModel:
     n_classes = payload["n_classes"]
     if not (isinstance(n_classes, int) and n_classes >= 2):
         raise ValidationError(f"{path}: n_classes must be an integer of at least 2, got {n_classes!r}")
-    if W.ndim != 2 or b.shape != (W.shape[0],) or W.shape[0] != n_classes:
-        raise ValidationError(f"{path}: inconsistent model shapes")
-    return LogisticModel(W, b, l2)
+    try:
+        model = LogisticModel(W, b, l2)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+    if model.n_classes != n_classes:
+        raise ValidationError(f"{path}: n_classes is {n_classes} but the weights have {model.n_classes} rows")
+    return model

@@ -51,7 +51,7 @@ from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
 from .geometry import KernelSpec, _one_blas_thread, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, unit_ball_volume, usable_bandwidth
 from .label import soft_label
-from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba
+from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba, validate_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
 from .select import ETA_DYNAMIC_RANGE, build_regions, greedy_select
 
@@ -230,15 +230,6 @@ def _auto_regions(n_candidates: int) -> int:
     return min(max(8, int(np.ceil(np.sqrt(n_candidates)))), n_candidates)
 
 
-def _validate_proba(proba, rows: int, n_classes: int, what: str) -> np.ndarray:
-    proba = np.asarray(proba, dtype=np.float64)
-    if proba.shape != (rows, n_classes):
-        raise ValidationError(f"{what} probabilities must have shape ({rows}, {n_classes}), got {proba.shape}")
-    if not np.all(np.isfinite(proba)) or np.any(proba < 0) or np.any(np.abs(proba.sum(axis=1) - 1.0) > 1e-6):
-        raise ValidationError(f"{what} probability rows must be nonnegative and sum to 1")
-    return proba
-
-
 def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig) -> tuple:
     """Each candidate's kNN density and support validity, the report's kNN warnings, and the seconds they took."""
     t0 = time.perf_counter()
@@ -327,8 +318,8 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         )
     if external_proba is not None:
         real_proba, cand_proba = external_proba
-        _validate_proba(real_proba, n_real, real.n_classes, "real")
-        cand_proba = _validate_proba(cand_proba, n_cand, real.n_classes, "candidate")
+        validate_proba(real_proba, n_real, real.n_classes, "real")
+        cand_proba = validate_proba(cand_proba, n_cand, real.n_classes, "candidate")
     warnings: list = []
     timings = dict.fromkeys(STAGES, 0.0)
     clock = time.perf_counter

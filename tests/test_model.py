@@ -6,6 +6,7 @@ import pytest
 import libags.model as model_module
 from libags.data import FeatureMatrix
 from libags.errors import DivergenceError, ValidationError
+from libags.label import soft_label
 from libags.model import (
     LogisticModel,
     RffEncoder,
@@ -163,9 +164,44 @@ class TestGradient:
 
 
 def axis_log_softmax(logits):
-    """Log-softmax by reductions along axis 1: the oracle the class-column loops must match bit for bit."""
+    """Log-softmax by reductions along axis 1: the oracle the class-row passes must match bit for bit."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def reference_cross_entropy(weights, bias, features, targets, l2: float):
+    """The loss and gradient with fresh temporaries, axis-1 reductions and the bias gradient by ``sum(axis=0)``."""
+    logp = axis_log_softmax(features @ weights.T + bias)
+    loss = float(-(targets * logp).sum() / features.shape[0] + 0.5 * l2 * (weights**2).sum())
+    resid = (np.exp(logp) - targets) / features.shape[0]
+    return loss, resid.T @ features + l2 * weights, resid.sum(axis=0)
+
+
+def reference_fit(x, targets, l2: float, epochs: int, lr: float) -> LogisticModel:
+    """The training loop as plain numpy, one fresh array per step: the oracle ``fit_logistic_soft`` must match bit for bit."""
+    W = np.zeros((targets.shape[1], x.n_cols))
+    b = np.zeros(targets.shape[1])
+    losses = []
+    for _ in range(epochs):
+        loss, grad_w, grad_b = reference_cross_entropy(W, b, x.values, targets, l2)
+        losses.append(loss)
+        W -= lr * grad_w
+        b -= lr * grad_b
+    return LogisticModel(W, b, l2, tuple(losses))
+
+
+def reference_predict_proba(model, x):
+    probs = np.maximum(np.exp(axis_log_softmax(x.values @ model.weights.T + model.bias)), 1e-300)
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
+def assert_fit_matches_reference(x, labels, n_classes, epochs):
+    got = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
+    want = reference_fit(x, one_hot(labels, n_classes), 1e-4, epochs, 0.5)
+    assert np.array_equal(got.weights, want.weights)
+    assert np.array_equal(got.bias, want.bias)
+    assert got.loss_curve == want.loss_curve
+    assert np.array_equal(predict_proba(got, x), reference_predict_proba(want, x))
 
 
 def logit_cases(rng, K):
@@ -178,12 +214,22 @@ def logit_cases(rng, K):
     return cases
 
 
+def banded_labels(raw, n_classes):
+    return np.digitize(raw[:, 0] + 0.3 * raw[:, 1], np.linspace(-1.0, 1.0, n_classes + 1)[1:-1])
+
+
 def bench_shaped_task(n_classes):
-    """The bench's shape: 240 encoded rows of 200 random features, with labels banded into ``n_classes``."""
+    """The bench's shape: 301 encoded rows of 200 random features, with labels banded into ``n_classes``."""
     rng = np.random.default_rng(n_classes)
-    raw = rng.normal(size=(240, 2))
+    raw = rng.normal(size=(301, 2))
     x = rff_encode(RffEncoder.create(2, 200, 0.4, 0), FeatureMatrix(raw))
-    return x, np.digitize(raw[:, 0] + 0.3 * raw[:, 1], np.linspace(-1.0, 1.0, n_classes + 1)[1:-1])
+    return x, banded_labels(raw, n_classes)
+
+
+def cli_shaped_task(n_classes):
+    """The CLI scoring fit's shape: 1130 raw rows of 2 features, with labels banded into ``n_classes``."""
+    raw = np.random.default_rng(50 + n_classes).normal(size=(1130, 2))
+    return FeatureMatrix(raw), banded_labels(raw, n_classes)
 
 
 class TestLogSoftmax:
@@ -192,10 +238,11 @@ class TestLogSoftmax:
         # K < 8 sums left to right; K >= 8 follows numpy's pairwise tree, split above 128
         rng = np.random.default_rng(K)
         for logits in logit_cases(rng, K):
-            assert np.array_equal(_log_softmax(logits), axis_log_softmax(logits))
+            bias = rng.normal(size=K)
+            assert np.array_equal(_log_softmax(logits, bias), axis_log_softmax(logits + bias))
 
     @pytest.mark.parametrize("K", range(2, 13))
-    def test_cross_entropy_bit_identical_to_axis_reductions(self, K, monkeypatch):
+    def test_cross_entropy_bit_identical_to_axis_reductions(self, K):
         rng = np.random.default_rng(100 + K)
         n, d = 50, 6
         X = rng.normal(size=(n, d))
@@ -203,31 +250,13 @@ class TestLogSoftmax:
         W = rng.normal(size=(K, d))
         b = rng.normal(size=K)
         got = cross_entropy(W, b, X, T, 1e-3)
-        monkeypatch.setattr(model_module, "_log_softmax", axis_log_softmax)
-        want = cross_entropy(W, b, X, T, 1e-3)
+        want = reference_cross_entropy(W, b, X, T, 1e-3)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     @pytest.mark.parametrize("n_classes, epochs", [(2, 2000), (3, 500)])
-    def test_fit_bit_identical_to_axis_reduction_trainer(self, n_classes, epochs, monkeypatch):
-        x, labels = bench_shaped_task(n_classes)
-        got = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
-        monkeypatch.setattr(model_module, "_log_softmax", axis_log_softmax)
-        want = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
-        assert got.loss_curve == want.loss_curve
-        probs = predict_proba(got, x)
-        monkeypatch.undo()
-        assert np.array_equal(probs, predict_proba(got, x))
-
-
-def axis0_cross_entropy(weights, bias, features, targets, l2: float):
-    """``cross_entropy`` with the bias gradient reduced by ``sum(axis=0)``: the oracle its running sum must match bit for bit."""
-    logp = _log_softmax(features @ weights.T + bias)
-    loss = float(-(targets * logp).sum() / features.shape[0] + 0.5 * l2 * (weights**2).sum())
-    resid = (np.exp(logp) - targets) / features.shape[0]
-    return loss, resid.T @ features + l2 * weights, resid.sum(axis=0)
+    def test_fit_bit_identical_to_axis_reduction_trainer(self, n_classes, epochs):
+        assert_fit_matches_reference(*bench_shaped_task(n_classes), n_classes, epochs)
 
 
 class TestBiasGradient:
@@ -237,25 +266,87 @@ class TestBiasGradient:
         # numpy adds the rows of a C-contiguous (n, K) array one after another in both reductions
         rng = np.random.default_rng(1000 * K + n)
         rows = rng.normal(size=(n, K)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(n, K))
-        assert np.array_equal(rows.cumsum(axis=0)[-1], rows.sum(axis=0))
+        assert np.array_equal(np.add.accumulate(rows, axis=0)[-1], rows.sum(axis=0))
         X = rng.normal(size=(n, 6))
         T = rng.dirichlet(np.ones(K), size=n)
         W = rng.normal(size=(K, 6)) * 10.0 ** rng.uniform(-3.0, 2.0, size=(K, 1))
         b = rng.normal(size=K)
         got = cross_entropy(W, b, X, T, 1e-3)
-        want = axis0_cross_entropy(W, b, X, T, 1e-3)
+        want = reference_cross_entropy(W, b, X, T, 1e-3)
         assert got[0] == want[0]
         assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     @pytest.mark.parametrize("n_classes, epochs", [(2, 2000), (3, 500)])
-    def test_fit_bit_identical_to_axis0_trainer(self, n_classes, epochs, monkeypatch):
-        x, labels = bench_shaped_task(n_classes)
-        got = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
-        monkeypatch.setattr(model_module, "cross_entropy", axis0_cross_entropy)
-        want = fit_logistic(x, labels, n_classes, 1e-4, epochs, 0.5)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.bias, want.bias)
-        assert got.loss_curve == want.loss_curve
+    def test_fit_bit_identical_to_axis0_trainer(self, n_classes, epochs):
+        assert_fit_matches_reference(*cli_shaped_task(n_classes), n_classes, epochs)
+
+
+class TestTrainer:
+    @pytest.mark.parametrize("task", [bench_shaped_task, cli_shaped_task])
+    @pytest.mark.parametrize("n_classes", [7, 8, 9, 12])
+    def test_fit_bit_identical_to_reference_trainer(self, n_classes, task):
+        # with the fits above this covers K = 2, 3, 7, 8, 9 and 12 at both shapes
+        assert_fit_matches_reference(*task(n_classes), n_classes, 300)
+
+    def test_work_arrays_reused_across_calls(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(20, 3))
+        T = one_hot(rng.integers(0, 2, 20), 2)
+        W = rng.normal(size=(2, 3))
+        b = rng.normal(size=2)
+        work = model_module._Work(20, 2, 3)
+        first = cross_entropy(W, b, X, T, 1e-3, work)
+        second = cross_entropy(2.0 * W, b, X, T, 1e-3, work)
+        assert first[1] is second[1] and first[2].base is second[2].base
+        fresh = cross_entropy(2.0 * W, b, X, T, 1e-3)
+        assert second[0] == fresh[0]
+        assert np.array_equal(second[1], fresh[1]) and np.array_equal(second[2], fresh[2])
+
+    def test_one_class_fit_is_all_zero(self):
+        x = FeatureMatrix(np.random.default_rng(6).normal(size=(9, 3)))
+        model = fit_logistic(x, np.zeros(9, dtype=int), 1, 1e-3, 20, 0.5)
+        assert model.loss_curve == (0.0,) * 20
+        assert not model.weights.any() and not model.bias.any()
+        assert np.array_equal(predict_proba(model, x), np.ones((9, 1)))
+
+
+class TestTargets:
+    @pytest.mark.parametrize("bad", [[2.0, -1.0], [3.0, 0.0], [math.nan, 1.0], [math.inf, 0.0], [0.5, 0.499]])
+    def test_non_distribution_row_rejected_by_index(self, bad):
+        targets = one_hot([0, 1, 1, 0], 2)
+        targets[2] = bad
+        with pytest.raises(ValidationError, match="target probability row 2 "):
+            fit_logistic_soft(FeatureMatrix(np.ones((4, 2))), targets, 0.0, 5, 0.1)
+
+    def test_soft_label_rows_accepted(self):
+        rng = np.random.default_rng(3)
+        targets = np.array([soft_label(int(c), p, a) for c, p, a in zip(rng.integers(0, 3, 40), rng.dirichlet(np.ones(3), 40), rng.uniform(size=40))])
+        model = fit_logistic_soft(FeatureMatrix(rng.normal(size=(40, 2))), targets, 1e-3, 5, 0.1)
+        assert len(model.loss_curve) == 5
+
+    @pytest.mark.parametrize("targets", [np.ones((3, 2)) / 2, np.ones(4) / 2])
+    def test_misshapen_targets_rejected(self, targets):
+        with pytest.raises(ValidationError, match="targets must be"):
+            fit_logistic_soft(FeatureMatrix(np.ones((4, 2))), targets, 0.0, 5, 0.1)
+
+
+class TestModelShapes:
+    @pytest.mark.parametrize(
+        "weights, bias",
+        [(np.zeros((3, 2)), np.zeros(2)), (np.zeros(3), np.zeros(3)), (np.zeros((2, 3)), np.zeros((2, 1))), (np.zeros((1, 2, 3)), np.zeros(1))],
+    )
+    def test_inconsistent_shapes_rejected(self, weights, bias):
+        with pytest.raises(ValidationError, match="weights must be"):
+            LogisticModel(weights, bias, 0.0)
+
+    def test_load_model_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"weights": [[1.0, 2.0]], "bias": [0.0, 0.0], "l2": 0.0, "n_classes": 2}')
+        with pytest.raises(ValidationError, match="model.json: weights must be"):
+            load_model(path)
+        path.write_text('{"weights": [[1.0], [2.0]], "bias": [0.0, 0.0], "l2": 0.0, "n_classes": 3}')
+        with pytest.raises(ValidationError, match="n_classes is 3 but the weights have 2 rows"):
+            load_model(path)
 
 
 class TestModelIo:
