@@ -25,6 +25,7 @@ from .geometry import (
     knn_density,
     knn_distances,
     median_knn_distance,
+    pool_kernel,
     similarity_matrix,
     support_validity,
     unit_ball_volume,
@@ -76,6 +77,7 @@ __all__ = [
     "marginal_gain",
     "median_knn_distance",
     "one_hot",
+    "pool_kernel",
     "predict_proba",
     "rff_encode",
     "run_bench",

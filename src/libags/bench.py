@@ -180,6 +180,8 @@ def export_boundary_grid(model: LogisticModel, encoder, bounds, resolution: int,
     """
     if resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {resolution}")
+    if model.n_classes < 2:
+        raise ValidationError(f"the grid holds p_class1, so the model needs at least 2 classes, got {model.n_classes}")
     x_min, x_max, y_min, y_max = bounds
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)

@@ -3,17 +3,20 @@ support validity, kernels.
 
 Neighbor search is brute force over a Euclidean reference set, which is
 the right trade at the few-thousand-candidate scale this package targets
-(the full candidate-candidate similarity matrix is quadratic anyway).
+(the candidate-candidate kernel is quadratic anyway).
 
-Every pairwise distance matrix comes from ``sq_distances``, the expansion
-||a||^2 + ||b||^2 - 2 a.b evaluated with one matrix product. The
-kernel bandwidth and the similarity kernel use it as is, and the kernel
-overwrites it with the similarities (or with only the columns asked
-for, in the same buffer). Nearest-neighbor answers
-(``knn_distances`` and the k-means assignment) must equal those of the
-direct differences formula sum((a - b)^2) bit for bit, so ``nearest``
-screens with the expansion, bounds its rounding error, and recomputes
-with the direct formula only the pairs that the bound cannot settle.
+Pairwise distances are the expansion ||a||^2 + ||b||^2 - 2 a.b, one
+matrix product per block of rows (``_expansion``). The pool kernel
+(``pool_kernel``) streams the pool's Gram product in row blocks: it keeps
+only the columns asked for, reads each row's k-th distance for the
+``median-knn`` bandwidth, and never holds the whole M x M distance matrix
+unless every column is asked for. ``similarity_matrix`` and
+``median_knn_distance`` are thin wrappers of that pass.
+Nearest-neighbor answers (``knn_distances`` and the k-means assignment)
+must equal those of the direct differences formula sum((a - b)^2) bit
+for bit, so ``nearest`` screens with the expansion, bounds its rounding
+error, and recomputes with the direct formula only the pairs that the
+bound cannot settle.
 
 The kNN statistics are functions of one query's distances: the pipeline
 asks ``knn_distances`` once for the candidates' distances to the real
@@ -39,9 +42,10 @@ SUPPORT_SIGMA_FLOOR = 1e-9
 # of the blocked computations below and keeps each elementwise pass over
 # a block in cache.
 _BLOCK = 1 << 16
-# Elements per screening block in ``nearest`` (16 MiB of float64): larger
-# than _BLOCK because each block pays for some twenty numpy calls.
-_SCREEN_BLOCK = 1 << 21
+# Elements per screening block in ``nearest`` and per Gram product block of
+# ``pool_kernel`` (4 MiB of float64): larger than _BLOCK because each
+# block pays for some twenty numpy calls.
+_SCREEN_BLOCK = 1 << 19
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -117,29 +121,28 @@ def usable_bandwidth(bandwidth) -> bool:
     return bandwidth > 0 and 0.0 < scale < math.inf
 
 
-def sq_distances(A) -> np.ndarray:
-    """Squared Euclidean distances between every pair of rows of ``A``.
+def _expansion(A, B, sq_a, sq_b) -> np.ndarray:
+    """Squared distances between the rows of ``A`` and ``B`` given their squared row norms.
 
     Expansion form ||a||^2 + ||b||^2 - 2 a.b, one matrix product on one
-    BLAS thread, clamped at 0; the only extra memory is one block. The
-    product is A @ A.T, which numpy evaluates as a symmetric rank-k
-    update, so the result is exactly symmetric.
+    BLAS thread, clamped at 0; the only extra memory is one block.
     """
-    sq_a = (A * A).sum(axis=1)
-    return _expansion(A, A, sq_a, sq_a)
-
-
-def _expansion(A, B, sq_a, sq_b) -> np.ndarray:
-    """``sq_distances`` given the squared row norms of ``A`` and ``B``."""
     with _one_blas_thread():
         d2 = A @ B.T
     rows = max(1, _BLOCK // d2.shape[1])
+    scratch = np.empty((min(rows, d2.shape[0]), d2.shape[1]))
     for start in range(0, d2.shape[0], rows):
         block = d2[start:start + rows]
-        block *= 2.0
-        np.subtract(sq_a[start:start + rows, None] + sq_b[None, :], block, out=block)
-        np.maximum(block, 0.0, out=block)
+        _expand(block, sq_a[start:start + rows], sq_b, scratch[:len(block)])
     return d2
+
+
+def _expand(block, sq_rows, sq_cols, scratch) -> None:
+    """Turn a block of products a.b into squared distances in place; ``scratch`` has its shape."""
+    block *= 2.0
+    np.add(sq_rows[:, None], sq_cols[None, :], out=scratch)
+    np.subtract(scratch, block, out=block)
+    np.maximum(block, 0.0, out=block)
 
 
 def direct_sq_distances(A, B) -> np.ndarray:
@@ -161,7 +164,7 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     the screening leaves with a single candidate skip the direct formula
     and the sort.
 
-    The expansion E = ``sq_distances`` screens the pairs. Write u = eps/2,
+    The expansion E = ``_expansion`` screens the pairs. Write u = eps/2,
     s = ||a||^2 + ||b||^2, D the exact squared distance and F the direct
     formula's value. In floating point every dot product of length d,
     in any summation order, is off by at most gamma_d = d u / (1 - d u)
@@ -213,7 +216,7 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
 
 def _refine(A, B, refine, k: int) -> tuple:
     """The k nearest rows of ``B`` among each row's ``refine`` pairs, by the direct formula."""
-    r, c = np.nonzero(refine)  # row-major: by row, then by column
+    r, c = np.divmod(np.flatnonzero(refine), refine.shape[1])  # row-major: by row, then by column
     counts = np.bincount(r, minlength=refine.shape[0])
     f = np.empty(r.size)
     step = max(1, _BLOCK // A.shape[1])
@@ -300,80 +303,133 @@ def support_validity(distances, calibration) -> np.ndarray:
     return np.exp(-(excess**2) / (2.0 * sigma * sigma))
 
 
-def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, sq_dists=None, columns=None) -> np.ndarray:
+def _product_rows(M: int, u: int) -> int:
+    """Rows per Gram product block of ``_pool_distances`` over M pool rows keeping u columns.
+
+    With every column kept, the whole product X @ X.T goes into the
+    result: numpy evaluates it as a symmetric rank-k update, so the
+    distances are exactly symmetric. Otherwise a block holds about
+    _SCREEN_BLOCK elements; while some columns are kept it holds at most
+    u rows, so it never outgrows the (M, u) result.
+    """
+    if u == M:
+        return M
+    return max(1, min(_SCREEN_BLOCK // M, u or M))
+
+
+def _pool_distances(X, columns, k: int) -> tuple:
+    """Squared pool distances to ``columns`` and each row's k-th distance, in one streaming pass.
+
+    Returns ``(d2, kth)``: ``d2`` is the (M, u) matrix of the expansion
+    distances ``_expansion(X, X[columns], ...)`` would give, and ``kth``
+    (None for k = 0) holds each row's k-th smallest distance to the
+    other rows. The pass walks ``_product_rows`` blocks of the Gram
+    product X[rows] @ X.T on one BLAS thread, expands them, gathers the
+    kept columns and partitions cache-sized sub-blocks with the diagonal
+    set to inf. Besides ``d2`` only the product block (with every column
+    kept, the result itself) and one sub-block are held. The
+    products of a block's rows may round differently from the symmetric
+    update, depending on the BLAS kernels and the block height, so
+    ``d2`` need not be symmetric when some columns are left out.
+    """
+    M = X.shape[0]
+    u = columns.size
+    sq = (X * X).sum(axis=1)
+    d2 = np.empty((M, u))
+    kth = np.empty(M) if k else None
+    rows = _product_rows(M, u)
+    # With every column kept the product goes straight into the result (one
+    # block of M rows), and the partition works on a copy of each sub-block.
+    product = d2 if u == M else np.empty((rows, M))
+    sub = max(1, _BLOCK // M)
+    scratch = np.empty((min(sub, M), M))
+    for start in range(0, M, rows):
+        stop = min(start + rows, M)
+        block = product[:stop - start]
+        with _one_blas_thread():
+            np.matmul(X[start:stop], X.T, out=block)
+        for first in range(start, stop, sub):
+            last = min(first + sub, stop)
+            part = block[first - start:last - start]
+            _expand(part, sq[first:last], sq, scratch[:last - first])
+            if u < M:
+                np.take(part, columns, axis=1, out=d2[first:last])
+            if not k:
+                continue
+            if u == M:
+                part = scratch[:last - first]
+                part[...] = d2[first:last]
+            local = np.arange(last - first)
+            part[local, first + local] = np.inf
+            part.partition(k - 1, axis=1)
+            kth[first:last] = part[:, k - 1]
+    return d2, kth
+
+
+def _median_bandwidth(kth) -> float:
+    """The median of the k-th distances ``sqrt(kth)``, floored; 1.0 without any (a one-row pool)."""
+    if kth is None:
+        return 1.0
+    return max(float(np.median(np.sqrt(kth))), SUPPORT_SIGMA_FLOOR)
+
+
+def pool_kernel(features: FeatureMatrix, columns, bandwidth=None, k: int = 10) -> np.ndarray:
+    """The pool's Gaussian similarities to ``columns``, an (M, u) array.
+
+    The result is S[:, columns] of the kernel exp(-d^2 / (2 bandwidth^2))
+    over the expansion distances d^2, with 1.0 where row ``columns[c]``
+    meets column c; ``columns`` holds strictly increasing indices.
+    ``bandwidth=None`` takes ``median_knn_distance(features, k)`` from the
+    same pass (see ``_pool_distances``). Memory is the (M, u) result plus
+    one product block; with no columns nothing is computed.
+    """
+    X = features.values
+    M = X.shape[0]
+    columns = np.asarray(columns, dtype=np.intp)
+    if columns.ndim != 1 or columns.size and (columns[0] < 0 or columns[-1] >= M or np.any(columns[1:] <= columns[:-1])):
+        raise ValidationError(f"columns must be strictly increasing indices in [0, {M})")
+    u = columns.size
+    if u == 0:
+        return np.empty((M, 0))
+    kernel = None if bandwidth is None else KernelSpec(bandwidth)
+    if kernel is None and k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
+    S, kth = _pool_distances(X, columns, min(k, M - 1) if kernel is None else 0)
+    if kernel is None:
+        kernel = KernelSpec(_median_bandwidth(kth))
+    scale = 2.0 * kernel.bandwidth**2
+    rows = max(1, _BLOCK // u)
+    for start in range(0, M, rows):
+        block = S[start:start + rows]
+        np.negative(block, out=block)
+        with np.errstate(over="ignore"):  # a subnormal scale: exp(-inf) = 0 is the limit
+            block /= scale
+        np.exp(block, out=block)
+    S[columns, np.arange(u)] = 1.0
+    return S
+
+
+def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, columns=None) -> np.ndarray:
     """Pairwise similarity matrix with exact unit diagonal.
 
-    ``sq_dists`` may carry ``sq_distances(features.values)``; it is
-    consumed: its entries are overwritten with the similarities, so the
-    kernel stage holds one M x M buffer. Without ``columns`` the same
-    (M, M) array is returned.
-
-    ``columns`` (strictly increasing indices) asks for the (M, u) matrix
-    of those u columns only, S[:, columns], with 1.0 where row
-    ``columns[c]`` meets column c. Only those M * u similarities are
-    computed. They are written row-major into the start of the distance
-    buffer, each row block gathered before its positions are
-    overwritten, so the result is a view of that buffer. When
-    ``columns`` names every column this is the in-place pass above.
+    Without ``columns`` the (M, M) matrix, exactly symmetric; with
+    ``columns`` (strictly increasing indices) the (M, u) matrix of those
+    columns only, S[:, columns]. Both come from ``pool_kernel``.
     """
-    S = sq_distances(features.values) if sq_dists is None else sq_dists
-    M = S.shape[0]
-    scale = 2.0 * kernel.bandwidth**2
-    if columns is not None:
-        columns = np.asarray(columns, dtype=np.intp)
-        if columns.ndim != 1 or columns.size and (columns[0] < 0 or columns[-1] >= M or np.any(columns[1:] <= columns[:-1])):
-            raise ValidationError(f"columns must be strictly increasing indices in [0, {M})")
-    if columns is None or columns.size == M:
-        rows = max(1, _BLOCK // M)
-        for start in range(0, M, rows):
-            block = S[start:start + rows]
-            np.negative(block, out=block)
-            with np.errstate(over="ignore"):  # a subnormal scale: exp(-inf) = 0 is the limit
-                block /= scale
-            np.exp(block, out=block)
-        np.fill_diagonal(S, 1.0)
-        return S
-    u = columns.size
-    # Output rows [start, stop) overwrite only input rows below stop, which
-    # are already gathered: rows * u <= rows * M.
-    out = S.reshape(-1)[:M * u].reshape(M, u)
-    rows = max(1, _BLOCK // max(u, 1))
-    gathered = np.empty((min(rows, M), u))
-    for start in range(0, M, rows):
-        block = gathered[:min(rows, M - start)]
-        np.take(S[start:start + rows], columns, axis=1, out=block, mode="clip")
-        dest = out[start:start + rows]
-        np.negative(block, out=dest)
-        with np.errstate(over="ignore"):
-            dest /= scale
-        np.exp(dest, out=dest)
-    out[columns, np.arange(u)] = 1.0
-    return out
+    if columns is None:
+        columns = np.arange(features.n_rows)
+    return pool_kernel(features, columns, kernel.bandwidth)
 
 
-def median_knn_distance(features: FeatureMatrix, k: int, sq_dists=None) -> float:
+def median_knn_distance(features: FeatureMatrix, k: int) -> float:
     """Local median heuristic: the median k-th neighbor distance within a set.
 
     This is the near-duplicate scale the diversity kernel needs; the
     classic pairwise median sits at the dataset diameter scale instead.
-    Uses the expansion distances of ``sq_distances``, which are plenty
-    for a bandwidth heuristic; ``sq_dists`` may carry that matrix.
+    Uses the expansion distances of ``pool_kernel``'s pass, which are
+    plenty for a bandwidth heuristic, and holds no M x M matrix.
     """
-    X = features.values
-    M = X.shape[0]
-    if M < 2:
-        return 1.0
-    k = min(k, M - 1)
-    d2 = sq_distances(X) if sq_dists is None else sq_dists
-    kth = np.empty(M)
-    rows = min(M, max(1, _BLOCK // M))
-    # One reused buffer: a fresh copy per block would briefly hold two.
-    buffer = np.empty((rows, M))
-    for start in range(0, M, rows):
-        block = buffer[:min(rows, M - start)]
-        block[...] = d2[start:start + rows]
-        local = np.arange(block.shape[0])
-        block[local, start + local] = np.inf
-        block.partition(k - 1, axis=1)
-        kth[start:start + rows] = block[:, k - 1]
-    return max(float(np.median(np.sqrt(kth))), SUPPORT_SIGMA_FLOOR)
+    if k < 1:
+        raise ValidationError(f"k must be at least 1, got {k}")
+    _, kth = _pool_distances(features.values, np.empty(0, dtype=np.intp), min(k, features.n_rows - 1))
+    return _median_bandwidth(kth)

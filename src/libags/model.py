@@ -267,8 +267,8 @@ def load_model(path) -> LogisticModel:
     except (TypeError, ValueError):
         raise ValidationError(f"{path}: weights, bias and l2 must be numbers in rectangular arrays") from None
     n_classes = payload["n_classes"]
-    if not (isinstance(n_classes, int) and n_classes >= 2):
-        raise ValidationError(f"{path}: n_classes must be an integer of at least 2, got {n_classes!r}")
+    if not (isinstance(n_classes, int) and n_classes >= 1):  # fit_logistic fits one class too
+        raise ValidationError(f"{path}: n_classes must be an integer of at least 1, got {n_classes!r}")
     try:
         model = LogisticModel(W, b, l2)
     except ValidationError as exc:

@@ -6,20 +6,22 @@ probabilities), estimate real-data coverage, solve the allocation, run
 the diversity-aware greedy selector, which reads its stopping threshold
 off its own marginal-gain curve, and soft-label what it picked.
 
-Two threads share the work. One worker runs the kNN stage (``geometry``:
-the candidates' kNN density and support validity) and then the first
-half of the kernel stage (``similarity``): the M x M pool distances and
-the bandwidth. Meanwhile the calling thread fits the scoring model
+Two threads share the work, in two worker tasks. The worker runs the
+kNN stage (``geometry``: the candidates' kNN density and support
+validity). Meanwhile the calling thread fits the scoring model
 (``scoring_model``), reads the kNN results, scores the candidates and
 solves the allocation, which gives each candidate's value. It then
-queues the second half of the kernel stage on the worker: the
-similarities to the u candidates with nonzero value, the only columns
-the greedy reads, which overwrite the distances in their own buffer (an
-(M, u) block in the M x M one). The calling thread goes on to build
-the k-means regions (``regions``); the greedy and the soft labels start
-once both sides are done. A failed kNN stage leaves the distances
-unbuilt. The worker spends most of its time in matrix products and in
-elementwise passes that release the interpreter lock. The two sides
+queues the kernel stage (``similarity``) on the worker: one streaming
+pass over the pool (``pool_kernel``) that reads the ``median-knn``
+bandwidth and keeps the similarities to the u candidates with nonzero
+value, the only columns the greedy reads. The kernel stage holds O(M u)
+memory, the (M, u) result and one product block, and runs nothing when
+u = 0. The calling thread goes on to build the k-means regions
+(``regions``); the greedy and the soft labels start once both sides are
+done. A failed kNN stage or a failed allocation raises before the
+kernel stage is queued, so no pool distance is computed. The worker
+spends most of its time in matrix products and in elementwise passes
+that release the interpreter lock. The two sides
 share no writable array, and every matrix product in either runs on
 one BLAS thread, so the report's bytes do not depend on how the threads
 interleave. ``stage_seconds`` times each stage on its own thread, so its
@@ -49,7 +51,7 @@ import numpy as np
 from .alloc import solve_lambda
 from .data import CandidatePool, FeatureMatrix, LabeledDataset
 from .errors import NoPositiveImportance, ValidationError
-from .geometry import KernelSpec, _one_blas_thread, knn_density, knn_distances, median_knn_distance, similarity_matrix, sq_distances, support_validity, unit_ball_volume, usable_bandwidth
+from .geometry import _one_blas_thread, knn_density, knn_distances, pool_kernel, support_validity, unit_ball_volume, usable_bandwidth
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba, validate_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
@@ -255,36 +257,16 @@ def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: Pipeline
     return density, support, warnings, time.perf_counter() - t0
 
 
-def _distance_stage(neighbors, features: FeatureMatrix, config: PipelineConfig):
-    """The pool distances, the kernel bandwidth and the seconds they took.
-
-    Runs after the kNN stage on the same worker, so ``neighbors`` is done;
-    if it failed, the calling thread raises its error and the M x M matrix
-    is not built (None).
-    """
-    if neighbors.exception() is not None:
-        return None
-    t0 = time.perf_counter()
-    pool_sq = sq_distances(features.values)
-    if config.kernel_bandwidth == "median-knn":
-        # Near-duplicate scale: the typical k-th neighbor distance within the pool.
-        bandwidth = median_knn_distance(features, config.knn_k, sq_dists=pool_sq)
-    else:
-        bandwidth = float(config.kernel_bandwidth)
-    return pool_sq, bandwidth, time.perf_counter() - t0
-
-
-def _kernel_stage(distances, features: FeatureMatrix, columns) -> tuple:
+def _kernel_stage(features: FeatureMatrix, config: PipelineConfig, columns) -> tuple:
     """The similarity matrix's valued columns and the seconds the kernel stage took.
 
-    Runs after ``_distance_stage`` on the same worker, so ``distances`` is
-    done. The similarities overwrite the pool distances, so one M x M
-    buffer is held.
+    ``median-knn`` is the near-duplicate scale: the typical k-th neighbor
+    distance within the pool, read in the same pass.
     """
-    pool_sq, bandwidth, seconds = distances.result()
     t0 = time.perf_counter()
-    sim = similarity_matrix(KernelSpec(bandwidth), features, sq_dists=pool_sq, columns=columns)
-    return sim, seconds + time.perf_counter() - t0
+    bandwidth = None if config.kernel_bandwidth == "median-knn" else float(config.kernel_bandwidth)
+    sim = pool_kernel(features, columns, bandwidth, config.knn_k)
+    return sim, time.perf_counter() - t0
 
 
 def run_selection(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig, external_proba=None) -> SelectionReport:
@@ -325,12 +307,10 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     clock = time.perf_counter
 
     # The kNN and kernel stages run on the worker beside scoring, allocation
-    # and k-means (see the module docstring). One worker runs its tasks in
-    # submission order, so the kNN screening blocks are freed before the
-    # M x M distance matrix exists, and each task finds the one before it done.
+    # and k-means (see the module docstring). The kernel stage is queued
+    # once the kNN stage is done, so their blocks are never held together.
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as executor:
         neighbors = executor.submit(_knn_stage, real, candidates, config)
-        distances = executor.submit(_distance_stage, neighbors, candidates.features, config)
 
         t0 = clock()
         if external_proba is None:
@@ -382,7 +362,7 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         timings["allocation"] = clock() - t0
         # A zero-valued candidate adds nothing to any facility gain, so the
         # kernel computes only the valued columns (see greedy_select).
-        kernel = executor.submit(_kernel_stage, distances, candidates.features, np.flatnonzero(values))
+        kernel = executor.submit(_kernel_stage, candidates.features, config, np.flatnonzero(values))
 
         t0 = clock()
         n_regions = _auto_regions(n_cand) if config.n_regions == "auto" else min(config.n_regions, n_cand)

@@ -6,6 +6,7 @@ failure) and asserts the criterion at its stated tolerance.
 
 import itertools
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -255,8 +256,10 @@ def _perf_run(M, seed=0, n=400, d=64):
 
 def test_criterion_10_quadratic_cost_profile():
     _perf_run(500)  # warm caches before timing
-    t_1000 = _perf_run(1000)
-    t_2000 = _perf_run(2000)
+    # The median of three timings per M: one timing of a shared host's
+    # noise moved the ratio across the gate's lower bound now and then.
+    t_1000 = statistics.median(_perf_run(1000) for _ in range(3))
+    t_2000 = statistics.median(_perf_run(2000) for _ in range(3))
     ratio = t_2000 / t_1000
     ok = t_2000 < 10.0 and 2.0 < ratio < 6.0
     assert _verdict("10 cost profile", ok, f"M=2000 in {t_2000:.2f}s, M=2000/M=1000 ratio {ratio:.2f}")

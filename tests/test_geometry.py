@@ -15,8 +15,8 @@ from libags.geometry import (
     knn_distances,
     median_knn_distance,
     nearest,
+    pool_kernel,
     similarity_matrix,
-    sq_distances,
     support_validity,
     unit_ball_volume,
 )
@@ -46,34 +46,43 @@ def direct_knn_distances(reference, query, k, exclude_self=False):
     return out
 
 
-def gram(X):
-    """X @ X.T on one BLAS thread, as geometry computes it: OpenBLAS's
-    threaded rank-k update rounds some shapes differently."""
+def gram(X, u):
+    """X @ X.T as the kernel pass keeping u of the pool's columns computes it.
+
+    The products come in the pass's own row blocks (``_product_rows``; one
+    block, numpy's symmetric rank-k update, when every column is kept), whose
+    rounding can depend on the block height, on one BLAS thread: OpenBLAS's
+    threaded products round some shapes differently.
+    """
+    rows = geometry._product_rows(len(X), u)
     with geometry._one_blas_thread():
-        return X @ X.T
+        return np.vstack([X[start:start + rows] @ X.T for start in range(0, len(X), rows)])
 
 
-def expansion_similarity_matrix(kernel, features):
-    """Expression-order oracle for similarity_matrix: full temporaries, no blocks."""
-    X = features.values
+def expansion_sq_distances(X, u):
+    """Expression-order oracle for the kernel pass's squared distances: full temporaries."""
     sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram(X)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * gram(X, u)
     np.maximum(d2, 0.0, out=d2)
-    S = np.exp(-d2 / (2.0 * kernel.bandwidth**2))
-    S = 0.5 * (S + S.T)
-    np.fill_diagonal(S, 1.0)
+    return d2
+
+
+def expansion_similarity_matrix(kernel, features, columns=None):
+    """Expression-order oracle for similarity_matrix and pool_kernel: full temporaries, one exp."""
+    M = features.n_rows
+    columns = np.arange(M) if columns is None else np.asarray(columns, dtype=np.intp)
+    S = np.exp(-expansion_sq_distances(features.values, columns.size) / (2.0 * kernel.bandwidth**2))[:, columns]
+    S[columns, np.arange(columns.size)] = 1.0
     return S
 
 
-def expansion_median_knn_distance(features, k):
-    """Expression-order oracle for median_knn_distance: one full partition."""
+def expansion_median_knn_distance(features, k, u=0):
+    """Expression-order oracle for median_knn_distance (u = 0) and the pass keeping u columns: one full partition."""
     X = features.values
     if X.shape[0] < 2:
         return 1.0
     k = min(k, X.shape[0] - 1)
-    sq = (X * X).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram(X)
-    np.maximum(d2, 0.0, out=d2)
+    d2 = expansion_sq_distances(X, u)
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
     return max(float(np.median(np.sqrt(kth))), 1e-9)
@@ -319,27 +328,28 @@ class TestSimilarity:
             S = similarity_matrix(kern, feats)
             assert np.array_equal(S, want)
             assert np.array_equal(S, S.T)
-            shared = sq_distances(feats.values)
-            # The pool distances are consumed: the result is that very array.
-            assert similarity_matrix(kern, feats, sq_dists=shared) is shared
-            assert np.array_equal(shared, want)
 
     def test_valued_columns_equal_the_full_matrix_columns_in_the_distance_buffer(self):
         rng = np.random.default_rng(11)
-        # (1100, 0.55) writes its 600 columns over 11 row blocks; fraction 1 is the in-place pass
+        # (1100, 0.55) streams its 600 columns through 2 product blocks of 476
+        # rows; fraction 1 is the whole product, written into the result
         for M, d, fraction in ((1100, 4, 0.55), (1100, 2, 0.01), (300, 64, 0.5), (300, 64, 1.0), (7, 1, 0.3), (5, 2, 0.0), (1, 2, 1.0)):
             feats = FeatureMatrix(rng.normal(size=(M, d)))
             kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
-            want = similarity_matrix(kern, feats)
+            full = similarity_matrix(kern, feats)
             columns = np.flatnonzero(rng.random(M) < fraction)
-            shared = sq_distances(feats.values)
-            S = similarity_matrix(kern, feats, sq_dists=shared, columns=columns)
+            S = similarity_matrix(kern, feats, columns=columns)
             assert S.shape == (M, columns.size)
-            assert np.array_equal(S, want[:, columns])
+            # The row-block products may round apart from the symmetric update
+            # in the last bits, so the full matrix's columns agree to rounding
+            # and the oracle built from the same blocks agrees bit for bit.
+            assert np.array_equal(S, expansion_similarity_matrix(kern, feats, columns))
+            np.testing.assert_allclose(S, full[:, columns], rtol=0, atol=1e-12)
             if columns.size == M:
-                assert S is shared
-            elif columns.size:
-                assert np.shares_memory(S, shared)
+                assert np.array_equal(S, full)
+            # The similarities overwrite the distances in the pass's own (M, u)
+            # buffer; no larger buffer hides behind the result.
+            assert S.base is None
 
     @pytest.mark.parametrize("columns", [[2, 1], [1, 1], [-1, 2], [0, 5], [[0, 1]]])
     def test_columns_must_be_increasing_indices_in_range(self, columns):
@@ -375,6 +385,42 @@ class TestSimilarity:
             KernelSpec(bandwidth)
 
 
+class TestPoolKernel:
+    @pytest.mark.parametrize("M", [1, 2, 7, 1100])
+    @pytest.mark.parametrize("d", [1, 2, 4, 64])
+    def test_bit_identical_to_its_oracle(self, M, d):
+        rng = np.random.default_rng(100 * M + d)
+        feats = FeatureMatrix(rng.normal(size=(M, d)) + (1e4 if d == 4 else 0.0))
+        some = np.flatnonzero(rng.random(M) < 0.4)
+        for columns in (np.array([], dtype=np.intp), rng.integers(0, M, 1), some, np.arange(M)):
+            u = columns.size
+            if M == 1100 and 0 < u < M:  # several product blocks: 1100 rows of 1, 3 of 440
+                assert geometry._product_rows(M, u) < M
+            for bandwidth in (0.7, None):
+                got = pool_kernel(feats, columns, bandwidth, k=5)
+                kernel = KernelSpec(expansion_median_knn_distance(feats, 5, u) if bandwidth is None else bandwidth)
+                assert np.array_equal(got, expansion_similarity_matrix(kernel, feats, columns)), (u, bandwidth)
+        assert median_knn_distance(feats, 5) == expansion_median_knn_distance(feats, 5)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_neighbor_count_below_one_rejected(self, k):
+        # k = 0 read the largest distance (inf with the diagonal excluded)
+        feats = FeatureMatrix(np.random.default_rng(17).normal(size=(5, 2)))
+        with pytest.raises(ValidationError, match="k must be at least 1"):
+            median_knn_distance(feats, k)
+        with pytest.raises(ValidationError, match="k must be at least 1"):
+            pool_kernel(feats, [0, 1], None, k)
+        assert pool_kernel(feats, [0, 1], 0.5, k).shape == (5, 2)  # a float bandwidth reads no k
+
+    def test_no_columns_run_no_pool_product(self, monkeypatch):
+        feats = FeatureMatrix(np.random.default_rng(16).normal(size=(30, 2)))
+        calls = []
+        monkeypatch.setattr(geometry, "_pool_distances", lambda *args: calls.append(args))
+        for bandwidth in (0.5, None):
+            assert pool_kernel(feats, [], bandwidth).shape == (30, 0)
+        assert calls == []
+
+
 class TestBandwidthHeuristics:
     def test_median_knn_smaller_than_pairwise_on_clustered_data(self):
         rng = np.random.default_rng(7)
@@ -384,30 +430,47 @@ class TestBandwidthHeuristics:
         assert median_knn_distance(feats, 5) < 0.1 * separation
 
     def test_shared_matrix_gives_the_same_bandwidths(self):
+        # The kernel pass reads its median-knn bandwidth off the distances it
+        # streams for the similarities: the bandwidth of the same products.
         rng = np.random.default_rng(12)
         for M in (2, 3, 40, 1500):
             feats = FeatureMatrix(rng.normal(size=(M, 3)))
-            shared = sq_distances(feats.values)
+            some = np.flatnonzero(rng.random(M) < 0.3)
             for k in (1, 5, M):
-                want = expansion_median_knn_distance(feats, k)
-                assert median_knn_distance(feats, k) == want
-                assert median_knn_distance(feats, k, sq_dists=shared) == want
+                assert median_knn_distance(feats, k) == expansion_median_knn_distance(feats, k)
+                for columns in (some, np.arange(M)):
+                    kernel = KernelSpec(expansion_median_knn_distance(feats, k, columns.size))
+                    want = expansion_similarity_matrix(kernel, feats, columns)
+                    assert np.array_equal(pool_kernel(feats, columns, None, k), want)
 
     def test_kernel_stage_holds_one_pool_matrix(self):
-        # The kernel stage as run_selection runs it: one pool matrix, read
-        # by the bandwidth and then turned into the similarity matrix.
+        # The kernel stage as run_selection runs it with every candidate
+        # valued: one pool matrix, read by the bandwidth and then turned into
+        # the similarity matrix in place.
         M = 1500
         feats = FeatureMatrix(np.random.default_rng(14).normal(size=(M, 8)))
         tracemalloc.start()
         try:
-            pool_sq = sq_distances(feats.values)
-            kernel = KernelSpec(median_knn_distance(feats, 10, sq_dists=pool_sq))
-            S = similarity_matrix(kernel, feats, sq_dists=pool_sq)
+            S = pool_kernel(feats, np.arange(M), None, 10)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert S is pool_sq
+        assert S.shape == (M, M)
         assert peak < 1.1 * M * M * 8  # a separate similarity matrix needed about 2x
+
+    def test_kernel_stage_with_few_valued_columns_holds_no_pool_matrix(self):
+        # u = M / 20 columns: the (M, u) result, one product block of at most
+        # u rows and one cache-sized sub-block.
+        M, u = 3000, 150
+        feats = FeatureMatrix(np.random.default_rng(15).normal(size=(M, 8)))
+        tracemalloc.start()
+        try:
+            S = pool_kernel(feats, np.arange(0, M, M // u), None, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert S.shape == (M, u)
+        assert peak < 2 * M * u * 8 + 4 * geometry._BLOCK * 8 < M * M * 8 / 4
 
     def test_products_restore_the_blas_thread_count(self):
         if geometry._BLAS_THREADS is None:
@@ -419,7 +482,8 @@ class TestBandwidthHeuristics:
                 assert get() == 1
             assert get() == 1
         assert get() == before
-        sq_distances(np.ones((3, 2)))
+        similarity_matrix(KernelSpec(1.0), FeatureMatrix(np.ones((3, 2))))
+        median_knn_distance(FeatureMatrix(np.ones((3, 2))), 1)
         assert get() == before
 
     def test_concurrent_products_restore_the_blas_thread_count(self):
@@ -427,7 +491,7 @@ class TestBandwidthHeuristics:
             pytest.skip("numpy's OpenBLAS thread setter not found")
         get, _ = geometry._BLAS_THREADS
         before = get()
-        X = np.random.default_rng(0).normal(size=(40, 3))
+        feats = FeatureMatrix(np.random.default_rng(0).normal(size=(40, 3)))
         errors = []
 
         def work():
@@ -435,7 +499,7 @@ class TestBandwidthHeuristics:
                 for _ in range(200):
                     with geometry._one_blas_thread():
                         assert get() == 1
-                        sq_distances(X)
+                        pool_kernel(feats, [3, 7, 20], None, 5)
             except BaseException as exc:
                 errors.append(exc)
                 raise
@@ -454,10 +518,19 @@ class TestBandwidthHeuristics:
         assert errors == []
         assert get() == before
 
-    def test_sq_distances_exactly_symmetric_and_clamped(self):
+    def test_pool_distances_exactly_symmetric_and_clamped(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(50, 5)) + 1e3
-        d2 = sq_distances(X)
+        d2, kth = geometry._pool_distances(X, np.arange(50), 0)
+        assert kth is None
         assert np.array_equal(d2, d2.T)
         assert np.all(d2 >= 0)
-        np.testing.assert_allclose(geometry.direct_sq_distances(X[:7, None, :], X[None, :, :]), d2[:7], rtol=0, atol=1e-6)
+        direct = geometry.direct_sq_distances(X[:, None, :], X[None, :, :])
+        np.testing.assert_allclose(direct[:7], d2[:7], rtol=0, atol=1e-6)
+        # Some columns only: the same distances to rounding, still clamped.
+        columns = np.array([0, 9, 31])
+        some, kth = geometry._pool_distances(X, columns, 3)
+        assert np.all(some >= 0)
+        np.testing.assert_allclose(direct[:, columns], some, rtol=0, atol=1e-6)
+        np.fill_diagonal(direct, np.inf)
+        np.testing.assert_allclose(np.sort(direct, axis=1)[:, 2], kth, rtol=0, atol=1e-6)

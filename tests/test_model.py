@@ -360,3 +360,15 @@ class TestModelIo:
         np.testing.assert_allclose(back.bias, model.bias, atol=1e-15)
         assert back.l2 == model.l2
         assert back.n_classes == 3
+
+    @pytest.mark.parametrize("n_classes", [1, 3])
+    def test_fitted_model_round_trips(self, tmp_path, n_classes):
+        rng = np.random.default_rng(9)
+        x = FeatureMatrix(rng.normal(size=(12, 2)))
+        model = fit_logistic(x, np.arange(12) % n_classes, n_classes, 1e-3, 20, 0.5)
+        path = tmp_path / "model.json"
+        save_model(path, model)
+        back = load_model(path)
+        assert back.n_classes == n_classes
+        assert np.array_equal(back.weights, model.weights) and np.array_equal(back.bias, model.bias)
+        assert np.array_equal(predict_proba(back, x), predict_proba(model, x))

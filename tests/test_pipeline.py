@@ -3,6 +3,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import Future
 
 import numpy as np
@@ -23,6 +24,19 @@ def tiny_config(**overrides):
     base = dict(epochs=200, rff_dim=32)
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def count_pool_products(monkeypatch):
+    """Record the size u of every streaming pass over the pool (each runs the pool's Gram products)."""
+    calls = []
+    original = geometry._pool_distances
+
+    def counting(X, columns, k):
+        calls.append(columns.size)
+        return original(X, columns, k)
+
+    monkeypatch.setattr(geometry, "_pool_distances", counting)
+    return calls
 
 
 class TestPipelineConfig:
@@ -189,12 +203,13 @@ class TestRunSelection:
         def oracle_knn(reference, query, k, exclude_self=False):
             return direct_knn_distances(reference.values, query.values, k, exclude_self)
 
+        def oracle_kernel(features, columns, bandwidth, k):
+            if bandwidth is None:
+                bandwidth = expansion_median_knn_distance(features, k, len(columns))
+            return expansion_similarity_matrix(KernelSpec(bandwidth), features, columns)
+
         monkeypatch.setattr(pipeline_module, "knn_distances", oracle_knn)
-        monkeypatch.setattr(pipeline_module, "median_knn_distance", lambda features, k, sq_dists: expansion_median_knn_distance(features, k))
-        monkeypatch.setattr(
-            pipeline_module, "similarity_matrix",
-            lambda kernel, features, sq_dists, columns: expansion_similarity_matrix(kernel, features)[:, columns],
-        )
+        monkeypatch.setattr(pipeline_module, "pool_kernel", oracle_kernel)
         monkeypatch.setattr(select_module, "_assign", direct_assign)
         monkeypatch.setattr(select_module, "direct_sq_distances", direct_rows_sq)
         assert report.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
@@ -206,7 +221,7 @@ class TestRunSelection:
         r = np.array([s.importance for s in report.scores])
         values = np.array([s.value for s in report.scores])
         regions = build_regions(train.features, pool.features, r, 8, 3)
-        want = greedy_select(values, similarity_matrix(KernelSpec(0.05), pool.features), regions)
+        want = greedy_select(values, similarity_matrix(KernelSpec(0.05), pool.features, columns=np.flatnonzero(values)), regions)
         assert report.m_hat > 0
         assert report.selected == want.selected
         assert report.eta == want.eta
@@ -233,21 +248,14 @@ class TestRunSelection:
         real = LabeledDataset(FeatureMatrix(train.features.values * scale), train.labels, 2)
         pool = CandidatePool(FeatureMatrix(pool.features.values * scale), pool.proposed_labels, pool.source_ids, 2)
         external = (np.random.default_rng(0).dirichlet(np.ones(2), real.n_rows), np.random.default_rng(1).dirichlet(np.ones(2), pool.n_rows))
-        calls = []
-        original = pipeline_module.sq_distances
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline_module, "sq_distances", counting)
+        products = count_pool_products(monkeypatch)
         with pytest.raises(ValidationError, match=r"kNN density reaches [0-9.]+e\+[0-9]{3}") as error:
             run_selection(real, pool, PipelineConfig(epochs=50), external_proba=external)
-        # At 1e-154 the kNN stage's own check fails, and the worker then skips
-        # the pool distances; at the other scales the allocation fails later.
+        # At 1e-154 the kNN stage's own check fails; at the other scales the
+        # allocation fails later. Either way the kernel stage is never queued.
         knn_failed = str(error.value).startswith("features too small")
         assert knn_failed == (scale == 1e-154)
-        assert len(calls) == (0 if knn_failed else 1)
+        assert products == []
 
     def test_overflowing_knn_density_fails_without_a_numpy_warning(self):
         # The density's exp overflows on the worker thread, whose numpy error
@@ -443,6 +451,28 @@ class TestKernelWorker:
         monkeypatch.setattr(pipeline_module, "ThreadPoolExecutor", InlineExecutor)
         assert threaded.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
 
+    def test_no_valued_candidate_runs_no_pool_product(self, monkeypatch):
+        real, pool, config, external = overlap_case("no-importance")
+        products = count_pool_products(monkeypatch)
+        assert run_selection(real, pool, config, external_proba=external).m_hat == 0
+        assert products == []
+
+    def test_kernel_stage_holds_no_pool_matrix(self, monkeypatch):
+        # The moons-cli input: u is about a tenth of M, so the (M, u) columns and
+        # one product block stay far below the M x M distance matrix.
+        real, _, pool = make_two_moons(1000, 0.3, 0.55, 0)
+        M = pool.n_rows
+        products = count_pool_products(monkeypatch)
+        tracemalloc.start()
+        try:
+            report = run_selection(real, pool, PipelineConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.m_hat > 0
+        assert len(products) == 1 and 0 < products[0] < M / 4
+        assert peak < M * M * 8 / 4
+
     def test_kernel_runs_off_the_calling_thread_on_one_blas_thread(self, monkeypatch):
         real, pool, config, _ = overlap_case("two-moons")
         seen = {}
@@ -453,18 +483,18 @@ class TestKernelWorker:
                 return fn(*args, **kwargs)
             return call
 
-        for name in ("knn_distances", "similarity_matrix", "build_regions", "fit_logistic"):
+        for name in ("knn_distances", "pool_kernel", "build_regions", "fit_logistic"):
             monkeypatch.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
         before = blas_threads()
         assert run_selection(real, pool, config).m_hat > 0
         caller = threading.get_ident()
-        assert seen["knn_distances"][0] != caller and seen["similarity_matrix"][0] != caller
+        assert seen["knn_distances"][0] != caller and seen["pool_kernel"][0] != caller
         assert seen["build_regions"][0] == caller and seen["fit_logistic"][0] == caller
         if before is not None:
             assert {threads for _, threads in seen.values()} == {1}
             assert blas_threads() == before
 
-    @pytest.mark.parametrize("failing", ["knn_distances", "similarity_matrix", "build_regions"])
+    @pytest.mark.parametrize("failing", ["knn_distances", "pool_kernel", "build_regions"])
     def test_error_in_either_thread_propagates_and_threads_are_joined(self, failing, monkeypatch):
         real, pool, config, _ = overlap_case("two-moons")
         baseline = threading.active_count()
