@@ -6,12 +6,14 @@ the right trade at the few-thousand-candidate scale this package targets
 (the candidate-candidate kernel is quadratic anyway).
 
 Pairwise distances are the expansion ||a||^2 + ||b||^2 - 2 a.b, one
-matrix product per block of rows (``_expansion``). The pool kernel
-(``pool_kernel``) streams the pool's Gram product in row blocks: it keeps
-only the columns asked for, reads each row's k-th distance for the
-``median-knn`` bandwidth, and never holds the whole M x M distance matrix
-unless every column is asked for. ``similarity_matrix`` and
-``median_knn_distance`` are thin wrappers of that pass.
+matrix product per block of rows (``_expansion``). Every streaming pass
+holds, besides its result, only a few blocks of about ``_BLOCK``
+elements. The pool kernel (``pool_kernel``) streams the pool's Gram
+product in row blocks: it keeps only the columns asked for, reads each
+row's k-th distance for the ``median-knn`` bandwidth, and never holds
+the whole M x M distance matrix unless every column is asked for.
+``similarity_matrix`` and ``median_knn_distance`` are thin wrappers of
+that pass.
 Nearest-neighbor answers (``knn_distances`` and the k-means assignment)
 must equal those of the direct differences formula sum((a - b)^2) bit
 for bit, so ``nearest`` screens with the expansion, bounds its rounding
@@ -38,14 +40,11 @@ from .data import FeatureMatrix
 from .errors import ValidationError
 
 SUPPORT_SIGMA_FLOOR = 1e-9
-# Elements per working block (512 KiB of float64): bounds the temporaries
-# of the blocked computations below and keeps each elementwise pass over
-# a block in cache.
+# Elements per working block (512 KiB of float64): bounds every temporary
+# of the streaming passes below (the screening blocks of ``nearest``, the
+# product blocks of the pool kernel, their sub-blocks and chunks) and keeps
+# each elementwise pass over a block in cache.
 _BLOCK = 1 << 16
-# Elements per screening block in ``nearest`` and per Gram product block of
-# ``pool_kernel`` (4 MiB of float64): larger than _BLOCK because each
-# block pays for some twenty numpy calls.
-_SCREEN_BLOCK = 1 << 19
 _EPS = float(np.finfo(np.float64).eps)
 _TINY = float(np.finfo(np.float64).tiny)
 
@@ -162,7 +161,9 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     ``A`` holds the rows of ``B`` in order and row i skips row i of ``B``.
     With ``distances=False`` ``dist2`` is None, and for k = 1 the rows
     the screening leaves with a single candidate skip the direct formula
-    and the sort.
+    and the sort. Rows of ``A`` go through in blocks of about ``_BLOCK``
+    screening distances, so the expansion, its partition copy and its
+    masks each stay cache-sized.
 
     The expansion E = ``_expansion`` screens the pairs. Write u = eps/2,
     s = ||a||^2 + ||b||^2, D the exact squared distance and F the direct
@@ -190,7 +191,7 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     sq_b_max = float(sq_b.max())
     dist2 = np.empty((n, k))
     index = np.empty((n, k), dtype=np.intp)
-    rows = max(1, _SCREEN_BLOCK // B.shape[0])
+    rows = max(1, _BLOCK // B.shape[0])
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         E = _expansion(A[start:stop], B, sq_a[start:stop], sq_b)
@@ -309,12 +310,12 @@ def _product_rows(M: int, u: int) -> int:
     With every column kept, the whole product X @ X.T goes into the
     result: numpy evaluates it as a symmetric rank-k update, so the
     distances are exactly symmetric. Otherwise a block holds about
-    _SCREEN_BLOCK elements; while some columns are kept it holds at most
-    u rows, so it never outgrows the (M, u) result.
+    _BLOCK elements and at most u rows (while some columns are kept), so
+    it never outgrows the (M, u) result.
     """
     if u == M:
         return M
-    return max(1, min(_SCREEN_BLOCK // M, u or M))
+    return max(1, min(_BLOCK // M, u or M))
 
 
 def _pool_distances(X, columns, k: int) -> tuple:

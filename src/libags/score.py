@@ -33,9 +33,6 @@ class ScoreRecord:
 
     FIELDS = ("margin", "boundary_weight", "entropy", "density", "support", "importance", "gap_score", "value")
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELDS}
-
 
 def top_two_margin_rows(pi_matrix) -> np.ndarray:
     """Gap between the two largest class probabilities of each row."""

@@ -164,16 +164,40 @@ class TestKnnDistances:
                 assert np.array_equal(got, direct_knn_distances(ref, ref, k, exclude_self=True)), (name, k)
 
     def test_bit_identical_across_blocks(self):
-        # more query rows than one screening block holds, and more
-        # candidate pairs than one refinement chunk
         rng = np.random.default_rng(11)
         ref = np.round(rng.normal(size=(1200, 3)), 1)
         query = np.round(rng.normal(size=(1900, 3)), 1)
+        # more query rows than one screening block (_BLOCK // len(ref) rows) holds
+        assert len(query) > geometry._BLOCK // len(ref)
         got = knn_distances(FeatureMatrix(ref), FeatureMatrix(query), 20)
         assert np.array_equal(got, direct_knn_distances(ref, query, 20))
         pts = np.vstack([ref, query[:300]])
+        assert len(pts) > geometry._BLOCK // len(pts)
         got = knn_distances(FeatureMatrix(pts), FeatureMatrix(pts), 7, exclude_self=True)
         assert np.array_equal(got, direct_knn_distances(pts, pts, 7, exclude_self=True))
+        # A small reference: a full screening block refines at least k pairs
+        # per row, more than one refinement chunk (_BLOCK // d pairs) holds.
+        small, k = ref[:50], 20
+        rows = geometry._BLOCK // len(small)
+        assert len(query) > rows and rows * k > geometry._BLOCK // small.shape[1]
+        got = knn_distances(FeatureMatrix(small), FeatureMatrix(query), k)
+        assert np.array_equal(got, direct_knn_distances(small, query, k))
+
+    def test_memory_is_the_outputs_and_a_few_blocks(self):
+        # The screening block, its expansion scratch, its partition copy and
+        # the masks are each at most _BLOCK elements; the outputs are the
+        # squared distances, the indices and the square roots.
+        rng = np.random.default_rng(18)
+        ref = FeatureMatrix(rng.normal(size=(1200, 3)))
+        query = FeatureMatrix(rng.normal(size=(3000, 3)))
+        tracemalloc.start()
+        try:
+            got = knn_distances(ref, query, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (3000, 10)
+        assert peak < 3 * got.nbytes + 5 * geometry._BLOCK * 8
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_index_only_gives_the_same_neighbors(self):
@@ -331,13 +355,17 @@ class TestSimilarity:
 
     def test_valued_columns_equal_the_full_matrix_columns_in_the_distance_buffer(self):
         rng = np.random.default_rng(11)
-        # (1100, 0.55) streams its 600 columns through 2 product blocks of 476
-        # rows; fraction 1 is the whole product, written into the result
         for M, d, fraction in ((1100, 4, 0.55), (1100, 2, 0.01), (300, 64, 0.5), (300, 64, 1.0), (7, 1, 0.3), (5, 2, 0.0), (1, 2, 1.0)):
             feats = FeatureMatrix(rng.normal(size=(M, d)))
             kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
             full = similarity_matrix(kern, feats)
             columns = np.flatnonzero(rng.random(M) < fraction)
+            # the 1100-row pools stream their columns through several product
+            # blocks; fraction 1 is the whole product, written into the result
+            if M == 1100:
+                assert geometry._product_rows(M, columns.size) < M
+            if fraction == 1.0:
+                assert geometry._product_rows(M, columns.size) == M
             S = similarity_matrix(kern, feats, columns=columns)
             assert S.shape == (M, columns.size)
             # The row-block products may round apart from the symmetric update
@@ -394,8 +422,9 @@ class TestPoolKernel:
         some = np.flatnonzero(rng.random(M) < 0.4)
         for columns in (np.array([], dtype=np.intp), rng.integers(0, M, 1), some, np.arange(M)):
             u = columns.size
-            if M == 1100 and 0 < u < M:  # several product blocks: 1100 rows of 1, 3 of 440
-                assert geometry._product_rows(M, u) < M
+            if M == 1100 and 0 < u < M:  # several product blocks, the last one short
+                rows = geometry._product_rows(M, u)
+                assert rows < M and (u == 1 or M % rows)
             for bandwidth in (0.7, None):
                 got = pool_kernel(feats, columns, bandwidth, k=5)
                 kernel = KernelSpec(expansion_median_knn_distance(feats, 5, u) if bandwidth is None else bandwidth)
@@ -459,8 +488,8 @@ class TestBandwidthHeuristics:
         assert peak < 1.1 * M * M * 8  # a separate similarity matrix needed about 2x
 
     def test_kernel_stage_with_few_valued_columns_holds_no_pool_matrix(self):
-        # u = M / 20 columns: the (M, u) result, one product block of at most
-        # u rows and one cache-sized sub-block.
+        # u = M / 20 columns: the (M, u) result, one product block and the
+        # scratch of its expansion, each at most _BLOCK elements.
         M, u = 3000, 150
         feats = FeatureMatrix(np.random.default_rng(15).normal(size=(M, 8)))
         tracemalloc.start()
@@ -470,7 +499,7 @@ class TestBandwidthHeuristics:
         finally:
             tracemalloc.stop()
         assert S.shape == (M, u)
-        assert peak < 2 * M * u * 8 + 4 * geometry._BLOCK * 8 < M * M * 8 / 4
+        assert peak < M * u * 8 + 3 * geometry._BLOCK * 8
 
     def test_products_restore_the_blas_thread_count(self):
         if geometry._BLAS_THREADS is None:

@@ -357,7 +357,7 @@ def reference_json(report, include_timings=False):
         "tau": report.tau,
         "selected": report.selected,
         "soft_labels": report.soft_labels,
-        "scores": [record.as_dict() for record in report.scores],
+        "scores": [{name: getattr(record, name) for name in record.FIELDS} for record in report.scores],
         "gains_log": [
             {"step": g.step, "candidate": g.candidate, "facility_gain": g.facility_gain, "region_gain": g.region_gain, "combined_gain": g.combined_gain}
             for g in report.gains_log
@@ -458,8 +458,10 @@ class TestKernelWorker:
         assert products == []
 
     def test_kernel_stage_holds_no_pool_matrix(self, monkeypatch):
-        # The moons-cli input: u is about a tenth of M, so the (M, u) columns and
-        # one product block stay far below the M x M distance matrix.
+        # The moons-cli input: u is about a tenth of M. The peak is the (M, u)
+        # columns plus a few blocks of at most _BLOCK elements (the kernel's
+        # product block, the k-means screening beside it) and the pipeline's
+        # per-candidate arrays, far below the M x M distance matrix.
         real, _, pool = make_two_moons(1000, 0.3, 0.55, 0)
         M = pool.n_rows
         products = count_pool_products(monkeypatch)
@@ -471,7 +473,7 @@ class TestKernelWorker:
             tracemalloc.stop()
         assert report.m_hat > 0
         assert len(products) == 1 and 0 < products[0] < M / 4
-        assert peak < M * M * 8 / 4
+        assert peak < M * products[0] * 8 + 10 * geometry._BLOCK * 8
 
     def test_kernel_runs_off_the_calling_thread_on_one_blas_thread(self, monkeypatch):
         real, pool, config, _ = overlap_case("two-moons")
