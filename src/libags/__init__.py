@@ -20,16 +20,7 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .geometry import (
-    KernelSpec,
-    knn_density,
-    knn_distances,
-    median_knn_distance,
-    pool_kernel,
-    similarity_matrix,
-    support_validity,
-    unit_ball_volume,
-)
+from .geometry import knn_density, knn_distances, pool_kernel, support_validity, unit_ball_volume
 from .label import soft_label
 from .model import LogisticModel, RffEncoder, fit_logistic, fit_logistic_soft, load_model, one_hot, predict_proba, rff_encode, save_model
 from .pipeline import PipelineConfig, SelectionReport, run_selection, train_final
@@ -45,7 +36,6 @@ __all__ = [
     "DivergenceError",
     "FeatureMatrix",
     "GainStep",
-    "KernelSpec",
     "LabeledDataset",
     "LibagsError",
     "LogisticModel",
@@ -75,7 +65,6 @@ __all__ = [
     "load_model",
     "make_two_moons",
     "marginal_gain",
-    "median_knn_distance",
     "one_hot",
     "pool_kernel",
     "predict_proba",
@@ -85,7 +74,6 @@ __all__ = [
     "save_model",
     "select_eta",
     "select_tau",
-    "similarity_matrix",
     "soft_label",
     "solve_lambda",
     "support_validity",

@@ -12,8 +12,6 @@ elements. The pool kernel (``pool_kernel``) streams the pool's Gram
 product in row blocks: it keeps only the columns asked for, reads each
 row's k-th distance for the ``median-knn`` bandwidth, and never holds
 the whole M x M distance matrix unless every column is asked for.
-``similarity_matrix`` and ``median_knn_distance`` are thin wrappers of
-that pass.
 Nearest-neighbor answers (``knn_distances`` and the k-means assignment)
 must equal those of the direct differences formula sum((a - b)^2) bit
 for bit, so ``nearest`` screens with the expansion, bounds its rounding
@@ -31,7 +29,6 @@ import contextlib
 import ctypes
 import math
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -100,17 +97,6 @@ def _one_blas_thread():
                 put(_blas_saved)
 
 
-@dataclass(frozen=True)
-class KernelSpec:
-    """Gaussian similarity kernel exp(-||u-j||^2 / (2 bandwidth^2))."""
-
-    bandwidth: float
-
-    def __post_init__(self):
-        if not usable_bandwidth(self.bandwidth):
-            raise ValidationError(f"kernel bandwidth must be positive with 2*bandwidth**2 a finite positive float, got {self.bandwidth}")
-
-
 def usable_bandwidth(bandwidth) -> bool:
     """Whether ``bandwidth`` is positive and ``2 * bandwidth**2``, the kernel's divisor, is a finite positive float."""
     try:
@@ -124,15 +110,12 @@ def _expansion(A, B, sq_a, sq_b) -> np.ndarray:
     """Squared distances between the rows of ``A`` and ``B`` given their squared row norms.
 
     Expansion form ||a||^2 + ||b||^2 - 2 a.b, one matrix product on one
-    BLAS thread, clamped at 0; the only extra memory is one block.
+    BLAS thread, clamped at 0; the only extra memory is one scratch of
+    the result's shape, so callers pass blocks of about ``_BLOCK`` pairs.
     """
     with _one_blas_thread():
         d2 = A @ B.T
-    rows = max(1, _BLOCK // d2.shape[1])
-    scratch = np.empty((min(rows, d2.shape[0]), d2.shape[1]))
-    for start in range(0, d2.shape[0], rows):
-        block = d2[start:start + rows]
-        _expand(block, sq_a[start:start + rows], sq_b, scratch[:len(block)])
+    _expand(d2, sq_a, sq_b, np.empty_like(d2))
     return d2
 
 
@@ -309,13 +292,13 @@ def _product_rows(M: int, u: int) -> int:
 
     With every column kept, the whole product X @ X.T goes into the
     result: numpy evaluates it as a symmetric rank-k update, so the
-    distances are exactly symmetric. Otherwise a block holds about
-    _BLOCK elements and at most u rows (while some columns are kept), so
-    it never outgrows the (M, u) result.
+    distances are exactly symmetric. Otherwise (0 < u < M) a block holds
+    about _BLOCK elements and at most u rows, so it never outgrows the
+    (M, u) result.
     """
     if u == M:
         return M
-    return max(1, min(_BLOCK // M, u or M))
+    return max(1, min(_BLOCK // M, u))
 
 
 def _pool_distances(X, columns, k: int) -> tuple:
@@ -380,9 +363,11 @@ def pool_kernel(features: FeatureMatrix, columns, bandwidth=None, k: int = 10) -
     The result is S[:, columns] of the kernel exp(-d^2 / (2 bandwidth^2))
     over the expansion distances d^2, with 1.0 where row ``columns[c]``
     meets column c; ``columns`` holds strictly increasing indices.
-    ``bandwidth=None`` takes ``median_knn_distance(features, k)`` from the
-    same pass (see ``_pool_distances``). Memory is the (M, u) result plus
-    one product block; with no columns nothing is computed.
+    ``bandwidth=None`` takes the median over the rows of each row's k-th
+    neighbor distance, read off the same pass (see ``_pool_distances``):
+    the near-duplicate scale the diversity kernel needs, where the classic
+    pairwise median sits at the dataset's diameter. Memory is the (M, u)
+    result plus one product block; with no columns nothing is computed.
     """
     X = features.values
     M = X.shape[0]
@@ -392,13 +377,14 @@ def pool_kernel(features: FeatureMatrix, columns, bandwidth=None, k: int = 10) -
     u = columns.size
     if u == 0:
         return np.empty((M, 0))
-    kernel = None if bandwidth is None else KernelSpec(bandwidth)
-    if kernel is None and k < 1:
+    if bandwidth is not None and not usable_bandwidth(bandwidth):
+        raise ValidationError(f"kernel bandwidth must be positive with 2*bandwidth**2 a finite positive float, got {bandwidth}")
+    if bandwidth is None and k < 1:
         raise ValidationError(f"k must be at least 1, got {k}")
-    S, kth = _pool_distances(X, columns, min(k, M - 1) if kernel is None else 0)
-    if kernel is None:
-        kernel = KernelSpec(_median_bandwidth(kth))
-    scale = 2.0 * kernel.bandwidth**2
+    S, kth = _pool_distances(X, columns, min(k, M - 1) if bandwidth is None else 0)
+    if bandwidth is None:
+        bandwidth = _median_bandwidth(kth)
+    scale = 2.0 * bandwidth**2
     rows = max(1, _BLOCK // u)
     for start in range(0, M, rows):
         block = S[start:start + rows]
@@ -408,29 +394,3 @@ def pool_kernel(features: FeatureMatrix, columns, bandwidth=None, k: int = 10) -
         np.exp(block, out=block)
     S[columns, np.arange(u)] = 1.0
     return S
-
-
-def similarity_matrix(kernel: KernelSpec, features: FeatureMatrix, columns=None) -> np.ndarray:
-    """Pairwise similarity matrix with exact unit diagonal.
-
-    Without ``columns`` the (M, M) matrix, exactly symmetric; with
-    ``columns`` (strictly increasing indices) the (M, u) matrix of those
-    columns only, S[:, columns]. Both come from ``pool_kernel``.
-    """
-    if columns is None:
-        columns = np.arange(features.n_rows)
-    return pool_kernel(features, columns, kernel.bandwidth)
-
-
-def median_knn_distance(features: FeatureMatrix, k: int) -> float:
-    """Local median heuristic: the median k-th neighbor distance within a set.
-
-    This is the near-duplicate scale the diversity kernel needs; the
-    classic pairwise median sits at the dataset diameter scale instead.
-    Uses the expansion distances of ``pool_kernel``'s pass, which are
-    plenty for a bandwidth heuristic, and holds no M x M matrix.
-    """
-    if k < 1:
-        raise ValidationError(f"k must be at least 1, got {k}")
-    _, kth = _pool_distances(features.values, np.empty(0, dtype=np.intp), min(k, features.n_rows - 1))
-    return _median_bandwidth(kth)

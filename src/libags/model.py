@@ -43,8 +43,12 @@ class RffEncoder:
     def create(cls, d_in: int, d_out: int, bandwidth: float, seed: int) -> "RffEncoder":
         if d_out < 2 or d_out % 2 != 0:
             raise ValidationError(f"d_out must be a positive even number, got {d_out}")
-        if bandwidth <= 0:
-            raise ValidationError(f"bandwidth must be positive, got {bandwidth}")
+        if d_in < 1:
+            raise ValidationError(f"d_in must be at least 1, got {d_in}")
+        if not (0 < bandwidth < math.inf and 1.0 / float(bandwidth) < math.inf):
+            raise ValidationError(f"bandwidth must be positive and finite with 1/bandwidth finite, got {bandwidth}")
+        if seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {seed}")
         rng = np.random.default_rng(seed)
         proj = rng.normal(0.0, 1.0 / bandwidth, size=(d_in, d_out // 2))
         proj.setflags(write=False)

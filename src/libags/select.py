@@ -193,12 +193,12 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     search finds no interior, ``eta`` is 0 and the pass goes on to
     accept every positive gain.
 
-    ``similarity`` is the symmetric (M, M) matrix ``similarity_matrix``
-    builds, or its (M, u) valued columns: the u columns of the candidates
-    with nonzero value, in index order (``similarity_matrix(...,
-    columns=np.flatnonzero(values))``). Given the full matrix the
-    selector gathers those columns itself. Candidate j's similarities
-    are read from row j; they must be finite.
+    ``similarity`` is the symmetric (M, M) matrix ``pool_kernel(features,
+    np.arange(M), ...)`` builds, or its (M, u) valued columns: the u
+    columns of the candidates with nonzero value, in index order
+    (``pool_kernel(features, np.flatnonzero(values), ...)``). Given the
+    full matrix the selector gathers those columns itself. Candidate j's
+    similarities are read from row j; they must be finite.
 
     A zero-valued column adds nothing to F, so the cover and each
     facility pass cover the valued columns only. Each pass's terms are

@@ -16,7 +16,7 @@ import numpy as np
 from libags.alloc import solve_lambda
 from libags.bench import auroc, run_bench
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv
-from libags.geometry import KernelSpec, similarity_matrix
+from libags.geometry import pool_kernel
 from libags.model import cross_entropy, one_hot
 from libags.pipeline import PipelineConfig, run_selection
 from libags.select import build_regions, greedy_select, marginal_gain
@@ -94,8 +94,8 @@ def test_criterion_4_coverage_objective_properties():
         feats = FeatureMatrix(rng.normal(size=(M, 2)))
         values = rng.uniform(0, 1, M)
         values[rng.random(M) < 0.25] = 0.0
-        kern = KernelSpec(float(rng.uniform(0.3, 1.5)))
-        sim = similarity_matrix(kern, feats)
+        kern = float(rng.uniform(0.3, 1.5))
+        sim = pool_kernel(feats, np.arange(M), kern)
 
         perm = rng.permutation(M)
         cut_a = int(rng.integers(0, M - 1))
@@ -141,8 +141,8 @@ def test_criterion_5_lazy_equals_naive():
         feats = FeatureMatrix(rng.normal(size=(M, 2)))
         values = rng.uniform(0, 1, M)
         values[rng.random(M) < 0.3] = 0.0
-        kern = KernelSpec(float(rng.uniform(0.2, 1.5)))
-        sim = similarity_matrix(kern, feats)
+        kern = float(rng.uniform(0.2, 1.5))
+        sim = pool_kernel(feats, np.arange(M), kern)
         real = FeatureMatrix(rng.normal(size=(int(rng.integers(5, 30)), 2)))
         regions = build_regions(real, feats, rng.uniform(0, 1, M), int(rng.integers(1, max(2, M // 2))), int(rng.integers(10**6)))
         eta = float(rng.choice([0.0, 0.02, 0.1, 0.4]))

@@ -383,6 +383,39 @@ class TestExportGridCommand:
         assert main(["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1", "--resolution", "3"]) == 1
 
 
+# Encoder arguments RffEncoder.create rejects, which numpy would otherwise turn
+# into a traceback or an error about the features: (command, its extra
+# arguments or bench config, the argument the error line names)
+BAD_ENCODERS = {
+    "grid-negative-seed": ("export-grid", ["--rff-seed", "-1"], "seed"),
+    "grid-negative-input-dim": ("export-grid", ["--input-dim", "-1"], "d_in"),
+    "grid-zero-input-dim": ("export-grid", ["--input-dim", "0"], "d_in"),
+    "grid-nan-bandwidth": ("export-grid", ["--rff-bandwidth", "nan"], "bandwidth"),
+    "bench-subnormal-bandwidth": ("bench", {"rff_bandwidth": 1e-320}, "bandwidth"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ENCODERS))
+def test_bad_encoder_exits_one_with_one_error_line(case, tmp_path, capsys):
+    from libags.model import LogisticModel, save_model
+
+    command, extra, named = BAD_ENCODERS[case]
+    if command == "export-grid":
+        model_path = tmp_path / "model.json"
+        save_model(model_path, LogisticModel(np.zeros((2, 4)), np.zeros(2), 0.0))
+        argv = ["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1,0,1",
+                "--resolution", "3", "--rff-dim", "4", "--input-dim", "2", *extra]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(extra))
+        argv = ["bench", "--methods", "erm", "--seeds", "0", "--n-per-class", "30", "--out", str(tmp_path), "--config", str(config)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: {named} must")
+    assert "Traceback" not in err
+
+
 BAD_MODELS = {
     "invalid-json": '{"weights": ',
     "non-utf8": b'{"weights": "\xff"}',

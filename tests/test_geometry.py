@@ -9,27 +9,17 @@ import pytest
 from libags.data import FeatureMatrix
 from libags.errors import ValidationError
 from libags import geometry
-from libags.geometry import (
-    KernelSpec,
-    knn_density,
-    knn_distances,
-    median_knn_distance,
-    nearest,
-    pool_kernel,
-    similarity_matrix,
-    support_validity,
-    unit_ball_volume,
-)
+from libags.geometry import knn_density, knn_distances, nearest, pool_kernel, support_validity, unit_ball_volume
 
 
-def similarity(kernel, u, j):
+def similarity(bandwidth, u, j):
     """Gaussian similarity between two feature rows; 1 at u == j, symmetric."""
     u = np.asarray(u, dtype=np.float64)
     j = np.asarray(j, dtype=np.float64)
     if u.shape != j.shape:
         raise ValidationError(f"rows must share a dimension, got {u.shape} vs {j.shape}")
     diff = u - j
-    return float(np.exp(-(diff * diff).sum() / (2.0 * kernel.bandwidth**2)))
+    return float(np.exp(-(diff * diff).sum() / (2.0 * bandwidth**2)))
 
 
 def direct_knn_distances(reference, query, k, exclude_self=False):
@@ -67,17 +57,17 @@ def expansion_sq_distances(X, u):
     return d2
 
 
-def expansion_similarity_matrix(kernel, features, columns=None):
-    """Expression-order oracle for similarity_matrix and pool_kernel: full temporaries, one exp."""
+def expansion_similarity_matrix(bandwidth, features, columns=None):
+    """Expression-order oracle for pool_kernel (every column without ``columns``): full temporaries, one exp."""
     M = features.n_rows
     columns = np.arange(M) if columns is None else np.asarray(columns, dtype=np.intp)
-    S = np.exp(-expansion_sq_distances(features.values, columns.size) / (2.0 * kernel.bandwidth**2))[:, columns]
+    S = np.exp(-expansion_sq_distances(features.values, columns.size) / (2.0 * bandwidth**2))[:, columns]
     S[columns, np.arange(columns.size)] = 1.0
     return S
 
 
-def expansion_median_knn_distance(features, k, u=0):
-    """Expression-order oracle for median_knn_distance (u = 0) and the pass keeping u columns: one full partition."""
+def expansion_median_knn_distance(features, k, u):
+    """Expression-order oracle for pool_kernel's median-knn bandwidth in the pass keeping u columns: one full partition."""
     X = features.values
     if X.shape[0] < 2:
         return 1.0
@@ -318,38 +308,39 @@ class TestSupportValidity:
             support_validity(knn_distances(pts, pts, 1), [])
 
 
+BANDWIDTH_ERROR = r"kernel bandwidth must be positive with 2\*bandwidth\*\*2 a finite positive float"
+
+
 class TestSimilarity:
     def test_identical_rows(self):
-        assert similarity(KernelSpec(0.5), [1.0, 2.0], [1.0, 2.0]) == 1.0
+        assert similarity(0.5, [1.0, 2.0], [1.0, 2.0]) == 1.0
 
     def test_known_value(self):
         sigma = 0.7
         u = np.zeros(3)
         j = np.array([sigma * math.sqrt(2.0), 0.0, 0.0])
-        assert similarity(KernelSpec(sigma), u, j) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert similarity(sigma, u, j) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_symmetry_exact(self):
         rng = np.random.default_rng(5)
-        kern = KernelSpec(1.3)
         for _ in range(50):
             u, j = rng.normal(size=(2, 4))
-            assert similarity(kern, u, j) == similarity(kern, j, u)
+            assert similarity(1.3, u, j) == similarity(1.3, j, u)
 
     def test_matrix_matches_scalar_kernel(self):
         rng = np.random.default_rng(9)
         feats = FeatureMatrix(rng.normal(size=(25, 3)))
-        kern = KernelSpec(0.9)
-        S = similarity_matrix(kern, feats)
-        want = np.array([[similarity(kern, u, j) for j in feats.values] for u in feats.values])
+        S = pool_kernel(feats, np.arange(25), 0.9)
+        want = np.array([[similarity(0.9, u, j) for j in feats.values] for u in feats.values])
         np.testing.assert_allclose(S, want, rtol=0, atol=1e-12)
 
     def test_matrix_bit_identical_to_expression_order(self):
         rng = np.random.default_rng(10)
         for M, d in ((1, 2), (7, 1), (1100, 4), (300, 64)):
             feats = FeatureMatrix(rng.normal(size=(M, d)) + (1e4 if d == 4 else 0.0))
-            kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
-            want = expansion_similarity_matrix(kern, feats)
-            S = similarity_matrix(kern, feats)
+            bandwidth = float(rng.uniform(0.3, 2.0))
+            want = expansion_similarity_matrix(bandwidth, feats)
+            S = pool_kernel(feats, np.arange(M), bandwidth)
             assert np.array_equal(S, want)
             assert np.array_equal(S, S.T)
 
@@ -357,8 +348,8 @@ class TestSimilarity:
         rng = np.random.default_rng(11)
         for M, d, fraction in ((1100, 4, 0.55), (1100, 2, 0.01), (300, 64, 0.5), (300, 64, 1.0), (7, 1, 0.3), (5, 2, 0.0), (1, 2, 1.0)):
             feats = FeatureMatrix(rng.normal(size=(M, d)))
-            kern = KernelSpec(float(rng.uniform(0.3, 2.0)))
-            full = similarity_matrix(kern, feats)
+            bandwidth = float(rng.uniform(0.3, 2.0))
+            full = pool_kernel(feats, np.arange(M), bandwidth)
             columns = np.flatnonzero(rng.random(M) < fraction)
             # the 1100-row pools stream their columns through several product
             # blocks; fraction 1 is the whole product, written into the result
@@ -366,12 +357,12 @@ class TestSimilarity:
                 assert geometry._product_rows(M, columns.size) < M
             if fraction == 1.0:
                 assert geometry._product_rows(M, columns.size) == M
-            S = similarity_matrix(kern, feats, columns=columns)
+            S = pool_kernel(feats, columns, bandwidth)
             assert S.shape == (M, columns.size)
             # The row-block products may round apart from the symmetric update
             # in the last bits, so the full matrix's columns agree to rounding
             # and the oracle built from the same blocks agrees bit for bit.
-            assert np.array_equal(S, expansion_similarity_matrix(kern, feats, columns))
+            assert np.array_equal(S, expansion_similarity_matrix(bandwidth, feats, columns))
             np.testing.assert_allclose(S, full[:, columns], rtol=0, atol=1e-12)
             if columns.size == M:
                 assert np.array_equal(S, full)
@@ -383,12 +374,12 @@ class TestSimilarity:
     def test_columns_must_be_increasing_indices_in_range(self, columns):
         feats = FeatureMatrix(np.random.default_rng(12).normal(size=(5, 2)))
         with pytest.raises(ValidationError, match="strictly increasing"):
-            similarity_matrix(KernelSpec(1.0), feats, columns=columns)
+            pool_kernel(feats, columns, 1.0)
 
     def test_matrix_diagonal_and_range(self):
         rng = np.random.default_rng(6)
         feats = FeatureMatrix(rng.normal(size=(30, 3)))
-        S = similarity_matrix(KernelSpec(0.8), feats)
+        S = pool_kernel(feats, np.arange(30), 0.8)
         assert np.array_equal(np.diag(S), np.ones(30))
         assert np.array_equal(S, S.T)
         assert np.all((S >= 0) & (S <= 1))
@@ -398,19 +389,22 @@ class TestSimilarity:
         # 2 * 1e-160**2 is subnormal, so distance / scale overflows to inf;
         # under filterwarnings = error a leaked RuntimeWarning fails this.
         feats = FeatureMatrix(np.random.default_rng(13).normal(size=(6, 2)))
-        S = similarity_matrix(KernelSpec(1e-160), feats, columns=columns)
         keep = np.arange(6) if columns is None else np.asarray(columns)
+        S = pool_kernel(feats, keep, 1e-160)
         assert np.array_equal(S, np.eye(6)[:, keep])
 
     def test_bandwidth_must_be_positive(self):
-        with pytest.raises(ValidationError):
-            KernelSpec(0.0)
+        feats = FeatureMatrix(np.ones((3, 2)))
+        for bandwidth in (0.0, -1.0):
+            with pytest.raises(ValidationError, match=BANDWIDTH_ERROR):
+                pool_kernel(feats, [0, 2], bandwidth)
 
     @pytest.mark.parametrize("bandwidth", [1e200, np.float64(1e200), 1e-300, np.float64(1e-300), math.nan, math.inf])
     def test_bandwidth_whose_scale_leaves_the_float_range_rejected(self, bandwidth):
         # 2 * bandwidth**2 overflows (1e200) or underflows to 0 (1e-300)
-        with pytest.raises(ValidationError):
-            KernelSpec(bandwidth)
+        feats = FeatureMatrix(np.ones((3, 2)))
+        with pytest.raises(ValidationError, match=BANDWIDTH_ERROR):
+            pool_kernel(feats, np.arange(3), bandwidth)
 
 
 class TestPoolKernel:
@@ -427,16 +421,13 @@ class TestPoolKernel:
                 assert rows < M and (u == 1 or M % rows)
             for bandwidth in (0.7, None):
                 got = pool_kernel(feats, columns, bandwidth, k=5)
-                kernel = KernelSpec(expansion_median_knn_distance(feats, 5, u) if bandwidth is None else bandwidth)
-                assert np.array_equal(got, expansion_similarity_matrix(kernel, feats, columns)), (u, bandwidth)
-        assert median_knn_distance(feats, 5) == expansion_median_knn_distance(feats, 5)
+                used = expansion_median_knn_distance(feats, 5, u) if bandwidth is None else bandwidth
+                assert np.array_equal(got, expansion_similarity_matrix(used, feats, columns)), (u, bandwidth)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_neighbor_count_below_one_rejected(self, k):
         # k = 0 read the largest distance (inf with the diagonal excluded)
         feats = FeatureMatrix(np.random.default_rng(17).normal(size=(5, 2)))
-        with pytest.raises(ValidationError, match="k must be at least 1"):
-            median_knn_distance(feats, k)
         with pytest.raises(ValidationError, match="k must be at least 1"):
             pool_kernel(feats, [0, 1], None, k)
         assert pool_kernel(feats, [0, 1], 0.5, k).shape == (5, 2)  # a float bandwidth reads no k
@@ -456,7 +447,9 @@ class TestBandwidthHeuristics:
         blobs = np.vstack([rng.normal(0, 0.05, size=(50, 2)), rng.normal(10, 0.05, size=(50, 2))])
         feats = FeatureMatrix(blobs)
         separation = math.hypot(10.0, 10.0)  # between the blob centres (0, 0) and (10, 10)
-        assert median_knn_distance(feats, 5) < 0.1 * separation
+        bandwidth = expansion_median_knn_distance(feats, 5, 100)
+        assert bandwidth < 0.1 * separation
+        assert np.array_equal(pool_kernel(feats, np.arange(100), None, 5), expansion_similarity_matrix(bandwidth, feats))
 
     def test_shared_matrix_gives_the_same_bandwidths(self):
         # The kernel pass reads its median-knn bandwidth off the distances it
@@ -466,10 +459,9 @@ class TestBandwidthHeuristics:
             feats = FeatureMatrix(rng.normal(size=(M, 3)))
             some = np.flatnonzero(rng.random(M) < 0.3)
             for k in (1, 5, M):
-                assert median_knn_distance(feats, k) == expansion_median_knn_distance(feats, k)
                 for columns in (some, np.arange(M)):
-                    kernel = KernelSpec(expansion_median_knn_distance(feats, k, columns.size))
-                    want = expansion_similarity_matrix(kernel, feats, columns)
+                    bandwidth = expansion_median_knn_distance(feats, k, columns.size)
+                    want = expansion_similarity_matrix(bandwidth, feats, columns)
                     assert np.array_equal(pool_kernel(feats, columns, None, k), want)
 
     def test_kernel_stage_holds_one_pool_matrix(self):
@@ -511,8 +503,8 @@ class TestBandwidthHeuristics:
                 assert get() == 1
             assert get() == 1
         assert get() == before
-        similarity_matrix(KernelSpec(1.0), FeatureMatrix(np.ones((3, 2))))
-        median_knn_distance(FeatureMatrix(np.ones((3, 2))), 1)
+        pool_kernel(FeatureMatrix(np.ones((3, 2))), np.arange(3), 1.0)
+        pool_kernel(FeatureMatrix(np.ones((3, 2))), [1], None, 1)
         assert get() == before
 
     def test_concurrent_products_restore_the_blas_thread_count(self):

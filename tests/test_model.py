@@ -50,6 +50,18 @@ class TestRffEncoder:
         with pytest.raises(ValidationError):
             RffEncoder.create(2, 7, 1.0, 0)
 
+    @pytest.mark.parametrize("d_in, bandwidth, seed, named", [
+        (0, 1.0, 0, "d_in"),  # an encoder that rejects every matrix
+        (-1, 1.0, 0, "d_in"),  # numpy's "negative dimensions are not allowed"
+        (2, math.nan, 0, "bandwidth"),  # a nan projection
+        (2, math.inf, 0, "bandwidth"),
+        (2, 1e-320, 0, "bandwidth"),  # 1 / bandwidth overflows
+        (2, 1.0, -1, "seed"),  # numpy's "expected non-negative integer"
+    ])
+    def test_bad_arguments_rejected_by_name(self, d_in, bandwidth, seed, named):
+        with pytest.raises(ValidationError, match=f"^{named} must"):
+            RffEncoder.create(d_in, 8, bandwidth, seed)
+
     def test_projection_std_matches_bandwidth(self):
         enc = RffEncoder.create(50, 400, 2.0, 4)
         assert abs(enc.projection.std() - 0.5) < 0.02

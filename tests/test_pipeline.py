@@ -13,7 +13,7 @@ import libags.geometry as geometry
 import libags.pipeline as pipeline_module
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons
 from libags.errors import ValidationError
-from libags.geometry import KernelSpec, similarity_matrix
+from libags.geometry import pool_kernel
 from libags.model import fit_logistic, one_hot, predict_proba
 from libags.pipeline import PipelineConfig, REPORT_FORMAT, run_selection, train_final
 from libags.score import ScoreRecord
@@ -206,7 +206,7 @@ class TestRunSelection:
         def oracle_kernel(features, columns, bandwidth, k):
             if bandwidth is None:
                 bandwidth = expansion_median_knn_distance(features, k, len(columns))
-            return expansion_similarity_matrix(KernelSpec(bandwidth), features, columns)
+            return expansion_similarity_matrix(bandwidth, features, columns)
 
         monkeypatch.setattr(pipeline_module, "knn_distances", oracle_knn)
         monkeypatch.setattr(pipeline_module, "pool_kernel", oracle_kernel)
@@ -221,7 +221,7 @@ class TestRunSelection:
         r = np.array([s.importance for s in report.scores])
         values = np.array([s.value for s in report.scores])
         regions = build_regions(train.features, pool.features, r, 8, 3)
-        want = greedy_select(values, similarity_matrix(KernelSpec(0.05), pool.features, columns=np.flatnonzero(values)), regions)
+        want = greedy_select(values, pool_kernel(pool.features, np.flatnonzero(values), 0.05), regions)
         assert report.m_hat > 0
         assert report.selected == want.selected
         assert report.eta == want.eta

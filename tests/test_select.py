@@ -6,7 +6,7 @@ import pytest
 
 from libags.data import FeatureMatrix, make_two_moons
 from libags.errors import ValidationError
-from libags.geometry import KernelSpec, median_knn_distance, similarity_matrix
+from libags.geometry import pool_kernel
 from libags.pipeline import PipelineConfig, run_selection
 from libags.select import (
     ETA_DYNAMIC_RANGE,
@@ -88,11 +88,11 @@ def random_instance(rng, max_m=60):
     feats = FeatureMatrix(rng.normal(size=(M, 2)))
     values = rng.uniform(0.0, 1.0, M)
     values[rng.random(M) < 0.3] = 0.0
-    kern = KernelSpec(float(rng.uniform(0.2, 1.5)))
+    bandwidth = float(rng.uniform(0.2, 1.5))
     n_regions = int(rng.integers(1, max(2, M // 2)))
     real = FeatureMatrix(rng.normal(size=(int(rng.integers(5, 30)), 2)))
     regions = build_regions(real, feats, rng.uniform(0.0, 1.0, M), n_regions, int(rng.integers(10**6)))
-    return values, kern, feats, regions
+    return values, bandwidth, feats, regions
 
 
 def direct_assign(X, centroids):
@@ -300,7 +300,7 @@ class TestGreedySelect:
         feats = FeatureMatrix(np.random.default_rng(0).normal(size=(8, 2)))
         regions = build_regions(feats, feats, np.zeros(8), 2, 0)
         regions.r_region[:] = 0.0
-        state = greedy_select(np.zeros(8), similarity_matrix(KernelSpec(1.0), feats), regions, 0.0)
+        state = greedy_select(np.zeros(8), pool_kernel(feats, np.arange(feats.n_rows), 1.0), regions, 0.0)
         assert state.selected == []
 
     def test_duplicate_candidate_facility_gain_zero(self):
@@ -308,7 +308,7 @@ class TestGreedySelect:
         feats = FeatureMatrix(pts)
         values = np.array([1.0, 1.0, 0.8])
         regions = build_regions(feats, feats, values, 1, 0)
-        state = greedy_select(values, similarity_matrix(KernelSpec(0.5), feats), regions, 0.0, max_budget=3)
+        state = greedy_select(values, pool_kernel(feats, np.arange(feats.n_rows), 0.5), regions, 0.0, max_budget=3)
         steps = {g.candidate: g for g in state.gains_log}
         assert 0 in steps and 1 in steps
         assert steps[1].facility_gain == 0.0
@@ -316,8 +316,8 @@ class TestGreedySelect:
     def test_lazy_equals_naive_on_random_instances(self):
         rng = np.random.default_rng(5)
         for _ in range(40):
-            values, kern, feats, regions = random_instance(rng)
-            sim = similarity_matrix(kern, feats)
+            values, bandwidth, feats, regions = random_instance(rng)
+            sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
             eta = float(rng.choice([0.0, 0.01, 0.1, 0.5]))
             budget = int(rng.integers(1, values.size + 1)) if rng.random() < 0.5 else None
             state = greedy_select(values, sim, regions, eta, max_budget=budget)
@@ -330,8 +330,8 @@ class TestGreedySelect:
 
     def test_objective_monotone_over_steps(self):
         rng = np.random.default_rng(6)
-        values, kern, feats, regions = random_instance(rng)
-        sim = similarity_matrix(kern, feats)
+        values, bandwidth, feats, regions = random_instance(rng)
+        sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
         state = greedy_select(values, sim, regions, 0.0)
         fvals = [facility_value(values, sim, state.selected[: i + 1]) for i in range(len(state.selected))]
         assert all(b >= a - 1e-12 for a, b in zip(fvals, fvals[1:]))
@@ -339,8 +339,8 @@ class TestGreedySelect:
     def test_submodularity_and_monotonicity_spot_checks(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            values, kern, feats, _ = random_instance(rng, max_m=25)
-            sim = similarity_matrix(kern, feats)
+            values, bandwidth, feats, _ = random_instance(rng, max_m=25)
+            sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
             M = values.size
             perm = rng.permutation(M)
             cut_a = int(rng.integers(0, M - 1))
@@ -357,8 +357,8 @@ class TestGreedySelect:
     def test_facility_gain_upper_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            values, kern, feats, regions = random_instance(rng, max_m=40)
-            sim = similarity_matrix(kern, feats)
+            values, bandwidth, feats, regions = random_instance(rng, max_m=40)
+            sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
             state = greedy_select(values, sim, regions, 0.0)
             for step in state.gains_log:
                 bound = float(np.sum(values * sim[:, step.candidate]))
@@ -371,8 +371,8 @@ class TestGreedySelect:
             budget = int(rng.integers(1, 5))
             feats = FeatureMatrix(rng.normal(size=(M, 2)))
             values = rng.uniform(0, 1, M)
-            kern = KernelSpec(float(rng.uniform(0.3, 1.2)))
-            sim = similarity_matrix(kern, feats)
+            bandwidth = float(rng.uniform(0.3, 1.2))
+            sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
             regions = build_regions(feats, feats, np.zeros(M), 1, 0)
             regions.r_region[:] = 0.0  # pure coverage objective
             state = greedy_select(values, sim, regions, 0.0, max_budget=budget)
@@ -383,8 +383,8 @@ class TestGreedySelect:
     def test_stopping_invariants(self):
         rng = np.random.default_rng(10)
         for _ in range(20):
-            values, kern, feats, regions = random_instance(rng)
-            sim = similarity_matrix(kern, feats)
+            values, bandwidth, feats, regions = random_instance(rng)
+            sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
             eta = float(rng.uniform(0.01, 0.3))
             state = greedy_select(values, sim, regions, eta)
             for step in state.gains_log:
@@ -409,21 +409,21 @@ class TestGreedySelect:
         feats = FeatureMatrix(pts)
         values = np.append(np.full(10, 1.0), 0.0)
         regions = build_regions(feats, feats, np.append(np.full(10, 0.5), 0.0), 3, 0)
-        state = greedy_select(values, similarity_matrix(KernelSpec(0.8), feats), regions, eta=0.05)
+        state = greedy_select(values, pool_kernel(feats, np.arange(feats.n_rows), 0.8), regions, eta=0.05)
         assert 10 not in state.selected
 
     def test_negative_values_rejected(self):
         feats = FeatureMatrix(np.ones((3, 2)))
         regions = build_regions(feats, feats, np.ones(3), 1, 0)
         with pytest.raises(ValidationError):
-            greedy_select(np.array([0.5, -0.1, 0.2]), similarity_matrix(KernelSpec(1.0), feats), regions, 0.0)
+            greedy_select(np.array([0.5, -0.1, 0.2]), pool_kernel(feats, np.arange(feats.n_rows), 1.0), regions, 0.0)
 
 
 class TestInitialCombinedGains:
     def test_matches_first_greedy_evaluation(self):
         rng = np.random.default_rng(12)
-        values, kern, feats, regions = random_instance(rng, max_m=30)
-        sim = similarity_matrix(kern, feats)
+        values, bandwidth, feats, regions = random_instance(rng, max_m=30)
+        sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
         gains = initial_combined_gains(values, sim, regions)
         for j in range(values.size):
             region = regions.assignment[j]
@@ -437,10 +437,10 @@ class TestInitialCombinedGains:
 
 def wide_range_instance(rng, max_m=60):
     """Random instance whose gains span many decades, so the knee search's range cuts the curve."""
-    values, kern, feats, regions = random_instance(rng, max_m)
+    values, bandwidth, feats, regions = random_instance(rng, max_m)
     values = values * 10.0 ** rng.uniform(-14.0, 0.0, values.size)
     regions.r_region[:] = regions.r_region * 10.0 ** rng.uniform(-14.0, 0.0, regions.n_regions)
-    return values, kern, feats, regions
+    return values, bandwidth, feats, regions
 
 
 class TestLearnedEta:
@@ -451,8 +451,8 @@ class TestLearnedEta:
         paths = {"full curve": 0, "cut": 0, "truncated": 0}  # eta == 0 after a cut has its own test
         for trial in range(160):
             make = wide_range_instance if trial % 2 else random_instance
-            values, kern, feats, regions = make(rng)
-            sim = similarity_matrix(kern, feats)
+            values, bandwidth, feats, regions = make(rng)
+            sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
             budget = int(rng.integers(1, values.size + 1)) if rng.random() < 0.5 else None
             want, curve = two_pass_selection(values, sim, regions, max_budget=budget)
             got = greedy_select(values, sim, regions, None, max_budget=budget)
@@ -471,7 +471,7 @@ class TestLearnedEta:
         values = np.append([1.0, 1.0], np.full(8, 1e-14))
         regions = build_regions(feats, feats, np.ones(10), 3, 0)
         regions.r_region[:] = 1e-14
-        sim = similarity_matrix(KernelSpec(1.0), feats)
+        sim = pool_kernel(feats, np.arange(feats.n_rows), 1.0)
         for budget, reason in ((None, "exhausted"), (6, "budget"), (2, "budget")):
             want, curve = two_pass_selection(values, sim, regions, max_budget=budget)
             got = greedy_select(values, sim, regions, None, max_budget=budget)
@@ -489,7 +489,7 @@ class TestLearnedEta:
         values = np.append([5.0, 0.01, 0.01, 0.01], np.full(6, 1e-13))
         regions = build_regions(feats, feats, np.ones(10), 2, 0)
         regions.r_region[:] = 0.0
-        sim = similarity_matrix(KernelSpec(1.0), feats)
+        sim = pool_kernel(feats, np.arange(feats.n_rows), 1.0)
         want, curve = two_pass_selection(values, sim, regions)
         got = greedy_select(values, sim, regions, None)
         assert_same_state(got, want)
@@ -501,7 +501,7 @@ class TestLearnedEta:
         feats = FeatureMatrix(rng.normal(size=(12, 2)))
         regions = build_regions(feats, feats, rng.uniform(0.1, 1.0, 12), 4, 0)
         values = np.zeros(12)
-        sim = similarity_matrix(KernelSpec(0.5), feats)
+        sim = pool_kernel(feats, np.arange(feats.n_rows), 0.5)
         # region terms alone still give a curve with a knee
         want, _ = two_pass_selection(values, sim, regions)
         got = greedy_select(values, sim, regions, None)
@@ -597,10 +597,10 @@ def crowded_instance(rng):
     values = rng.uniform(0.0, 1.0, M) * (rng.random(M) < 0.1)
     if rng.random() < 0.1:
         values[:] = 0.0
-    kern = KernelSpec(float(rng.uniform(0.05, 1.0)))
+    bandwidth = float(rng.uniform(0.05, 1.0))
     real = FeatureMatrix(rng.normal(size=(int(rng.integers(5, 30)), 2)))
     regions = build_regions(real, feats, rng.uniform(0.0, 1.0, M), int(rng.integers(1, 5)), int(rng.integers(10**6)))
-    return values, similarity_matrix(kern, feats), regions
+    return values, pool_kernel(feats, np.arange(feats.n_rows), bandwidth), regions
 
 
 class TestSplitBounds:
@@ -635,7 +635,7 @@ class TestSplitBounds:
         values = np.array([s.value for s in report.scores])
         r = np.array([s.importance for s in report.scores])
         regions = build_regions(train.features, pool.features, r, 27, 0)
-        sim = similarity_matrix(KernelSpec(median_knn_distance(pool.features, 10)), pool.features)
+        sim = pool_kernel(pool.features, np.arange(pool.n_rows), None, 10)
         got = greedy_select(values, sim, regions)
         want = full_reevaluation_greedy(values, sim, regions)
         assert_same_state(got, want)
@@ -677,11 +677,11 @@ class TestSplitBounds:
         values = np.ones(6)
         (values if field == "values" else getattr(regions, field))[1] = np.nan
         with pytest.raises(ValidationError):
-            greedy_select(values, similarity_matrix(KernelSpec(1.0), feats), regions, None)
+            greedy_select(values, pool_kernel(feats, np.arange(feats.n_rows), 1.0), regions, None)
 
     def test_nonpositive_coverage_rejected_up_front(self):
         feats = FeatureMatrix(np.random.default_rng(19).normal(size=(6, 2)))
         regions = build_regions(feats, feats, np.ones(6), 2, 0)
         regions.c[1] = 0.0
         with pytest.raises(ValidationError, match="coverage must be positive"):
-            greedy_select(np.ones(6), similarity_matrix(KernelSpec(1.0), feats), regions, 0.0, max_budget=0)
+            greedy_select(np.ones(6), pool_kernel(feats, np.arange(feats.n_rows), 1.0), regions, 0.0, max_budget=0)
