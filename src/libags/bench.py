@@ -158,7 +158,7 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
                 rows = rng.integers(0, train.n_rows, size=m_hat)
                 scale = float(train.features.values.std(axis=0).mean())
                 jitter = rng.normal(0.0, 0.1 * scale, size=(m_hat, 2))
-                noisy = FeatureMatrix(train.features.values[rows] + jitter) if m_hat else None
+                noisy = FeatureMatrix._adopt(train.features.values[rows] + jitter) if m_hat else None
                 extra = rff_encode(world.encoder, noisy).values if m_hat else []
                 model = fit_with_extra(world.z_train, extra, one_hot(train.labels[rows], 2), config)
             else:  # uncertainty_only
@@ -186,7 +186,7 @@ def export_boundary_grid(model: LogisticModel, encoder, bounds, resolution: int,
     xs = np.linspace(x_min, x_max, resolution)
     ys = np.linspace(y_min, y_max, resolution)
     gx, gy = np.meshgrid(xs, ys)
-    points = FeatureMatrix(np.column_stack([gx.ravel(), gy.ravel()]))
+    points = FeatureMatrix._adopt(np.column_stack([gx.ravel(), gy.ravel()]))
     encoded = rff_encode(encoder, points) if encoder is not None else points
     proba = predict_proba(model, encoded)
     with open(path, "w", newline="") as fh:

@@ -115,7 +115,7 @@ def _cmd_demo(args) -> int:
     selected_path = os.path.join(args.out, "selected.csv")
     if report.selected:
         selected_pool = CandidatePool(
-            FeatureMatrix(pool.features.values[report.selected]),
+            FeatureMatrix._adopt(pool.features.values[report.selected]),
             pool.proposed_labels[report.selected],
             tuple(pool.source_ids[j] for j in report.selected),
             2,

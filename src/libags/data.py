@@ -22,21 +22,26 @@ MOONS_GAP_CENTER = 0.5
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Dense real-valued feature matrix, rows are samples."""
+    """Dense real-valued feature matrix, rows are samples.
+
+    ``values`` is a read-only float64 array. The constructor freezes a
+    copy of what it is given, so the caller's array stays writeable and
+    the matrix never changes under it. The package's own freshly built
+    arrays go through ``_adopt`` instead, which runs the same checks and
+    freezes the array itself, without a second copy.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        # copy so freezing the matrix never reaches back into caller arrays
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"feature matrix needs at least one row and one column, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("feature matrix contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen_features(np.array(self.values, dtype=np.float64)))
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray) -> "FeatureMatrix":
+        """A matrix over ``arr`` itself, frozen in place; for float64 arrays no one else writes."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "values", _frozen_features(np.asarray(arr, dtype=np.float64)))
+        return matrix
 
     @property
     def n_rows(self) -> int:
@@ -45,6 +50,18 @@ class FeatureMatrix:
     @property
     def n_cols(self) -> int:
         return self.values.shape[1]
+
+
+def _frozen_features(arr: np.ndarray) -> np.ndarray:
+    """``arr``, checked to be a finite 2-D matrix with a row and a column, and made read-only."""
+    if arr.ndim != 2:
+        raise ValidationError(f"feature matrix must be 2-D, got shape {arr.shape}")
+    if arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValidationError(f"feature matrix needs at least one row and one column, got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("feature matrix contains non-finite entries")
+    arr.setflags(write=False)
+    return arr
 
 
 def _frozen_labels(labels, n_rows: int, n_classes: int, what: str) -> np.ndarray:
@@ -164,7 +181,7 @@ def load_labeled_csv(path, n_classes: int) -> LabeledDataset:
     if len(header) < 2 or header[-1] != "label":
         raise SchemaError(f"{path}: last column must be named 'label', got header {header}")
     feats, labels = _parse_rows(path, header, rows, len(header) - 1, "label", n_classes)
-    return LabeledDataset(FeatureMatrix(feats), labels, n_classes)
+    return LabeledDataset(FeatureMatrix._adopt(feats), labels, n_classes)
 
 
 def load_candidate_csv(path, n_classes: int) -> CandidatePool:
@@ -176,7 +193,7 @@ def load_candidate_csv(path, n_classes: int) -> CandidatePool:
         raise SchemaError(f"{path}: expected feature columns then 'proposed_label' (then optional 'source_id'), got header {header}")
     feats, labels = _parse_rows(path, header, rows, label_col, "proposed_label", n_classes)
     ids = tuple(row[-1] for row in rows) if has_ids else ()
-    return CandidatePool(FeatureMatrix(feats), labels, ids, n_classes)
+    return CandidatePool(FeatureMatrix._adopt(feats), labels, ids, n_classes)
 
 
 def load_probability_csv(path) -> np.ndarray:
@@ -256,10 +273,10 @@ def make_two_moons(n_per_class: int, noise_sd: float, gap_halfwidth: float, seed
 
     train_pts, train_labels = _sample_moons(rng, n_per_class, noise_sd)
     keep = np.abs(train_pts[:, 0] - MOONS_GAP_CENTER) >= gap_halfwidth if gap_halfwidth > 0 else np.ones(len(train_pts), bool)
-    train = LabeledDataset(FeatureMatrix(train_pts[keep]), train_labels[keep], 2)
+    train = LabeledDataset(FeatureMatrix._adopt(train_pts[keep]), train_labels[keep], 2)
 
     test_pts, test_labels = _sample_moons(rng, n_per_class, noise_sd)
-    test = LabeledDataset(FeatureMatrix(test_pts), test_labels, 2)
+    test = LabeledDataset(FeatureMatrix._adopt(test_pts), test_labels, 2)
 
     # Band of arc angles whose noise-free horizontal coordinate lies in the
     # excluded region; identical for both moons by symmetry.
@@ -286,5 +303,5 @@ def make_two_moons(n_per_class: int, noise_sd: float, gap_halfwidth: float, seed
         + [f"sup-{i}" for i in range(len(sup_pts))]
         + [f"off-{i}" for i in range(len(off_pts))]
     )
-    candidates = CandidatePool(FeatureMatrix(feats), labels, tuple(ids), 2)
+    candidates = CandidatePool(FeatureMatrix._adopt(feats), labels, tuple(ids), 2)
     return train, test, candidates

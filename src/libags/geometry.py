@@ -7,11 +7,13 @@ the right trade at the few-thousand-candidate scale this package targets
 
 Pairwise distances are the expansion ||a||^2 + ||b||^2 - 2 a.b, one
 matrix product per block of rows (``_expansion``). Every streaming pass
-holds, besides its result, only a few blocks of about ``_BLOCK``
-elements. The pool kernel (``pool_kernel``) streams the pool's Gram
-product in row blocks: it keeps only the columns asked for, reads each
-row's k-th distance for the ``median-knn`` bandwidth, and never holds
-the whole M x M distance matrix unless every column is asked for.
+holds, besides its result, the buffers of one block of about ``_BLOCK``
+elements at a time: a block's buffers are freed or reused before the
+next block's are allocated. The pool kernel (``pool_kernel``) streams
+the pool's Gram product in row blocks: it keeps only the columns asked
+for, reads each row's k-th distance for the ``median-knn`` bandwidth,
+and never holds the whole M x M distance matrix unless every column is
+asked for.
 Nearest-neighbor answers (``knn_distances`` and the k-means assignment)
 must equal those of the direct differences formula sum((a - b)^2) bit
 for bit, so ``nearest`` screens with the expansion, bounds its rounding
@@ -145,8 +147,10 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     With ``distances=False`` ``dist2`` is None, and for k = 1 the rows
     the screening leaves with a single candidate skip the direct formula
     and the sort. Rows of ``A`` go through in blocks of about ``_BLOCK``
-    screening distances, so the expansion, its partition copy and its
-    masks each stay cache-sized.
+    screening distances (``_nearest_block``), so the expansion, its
+    partition copy and its masks each stay cache-sized, and only one
+    block's buffers are held at a time: they are freed before the next
+    block's expansion is allocated.
 
     The expansion E = ``_expansion`` screens the pairs. Write u = eps/2,
     s = ||a||^2 + ||b||^2, D the exact squared distance and F the direct
@@ -168,34 +172,49 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     are recomputed with the direct formula. Overflow makes E or tau
     non-finite; such pairs fail the comparison and are recomputed too.
     """
-    n, d = A.shape
+    n = A.shape[0]
     sq_a = (A * A).sum(axis=1)
     sq_b = (B * B).sum(axis=1)
     sq_b_max = float(sq_b.max())
-    dist2 = np.empty((n, k))
+    dist2 = np.empty((n, k)) if distances else None
     index = np.empty((n, k), dtype=np.intp)
     rows = max(1, _BLOCK // B.shape[0])
     for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        E = _expansion(A[start:stop], B, sq_a[start:stop], sq_b)
-        local = np.arange(stop - start)
-        if exclude_self:
-            E[local, start + local] = np.inf
-        kth = E.min(axis=1) if k == 1 else np.partition(E, k - 1, axis=1)[:, k - 1]
-        tau = 3.0 * (d + 2) * (_EPS * (sq_a[start:stop] + sq_b_max) + _TINY)
-        refine = ~(E > (kth + 2.0 * tau)[:, None])
-        if exclude_self:
-            refine[local, start + local] = False
-        if distances or k > 1:
-            dist2[start:stop], index[start:stop] = _refine(A[start:stop], B, refine, k)
-            continue
-        # A row with one pair left takes its column (argmax of the mask: the
-        # excluded self may hold the row's smallest E); the others refine.
-        index[start:stop, 0] = refine.argmax(axis=1)
-        multi = np.flatnonzero(refine.sum(axis=1) > 1)
-        if multi.size:
-            index[start + multi] = _refine(A[start + multi], B, refine[multi], 1)[1]
-    return (dist2 if distances else None), index
+        block = slice(start, start + rows)
+        _nearest_block(A[block], B, sq_a[block], sq_b, sq_b_max, start if exclude_self else None,
+                       index[block], None if dist2 is None else dist2[block])
+    return dist2, index
+
+
+def _nearest_block(A, B, sq_a, sq_b, sq_b_max: float, self_start, index, dist2) -> None:
+    """One screening block of ``nearest``, written into ``index`` and, unless it is None, ``dist2``.
+
+    Row i of ``A`` skips row ``self_start + i`` of ``B`` unless
+    ``self_start`` is None. The block's expansion, partition copy and
+    masks live only in this call, so ``nearest`` holds one block's
+    buffers at a time.
+    """
+    k = index.shape[1]
+    E = _expansion(A, B, sq_a, sq_b)
+    local = np.arange(len(A))
+    if self_start is not None:
+        E[local, self_start + local] = np.inf
+    kth = E.min(axis=1) if k == 1 else np.partition(E, k - 1, axis=1)[:, k - 1]
+    tau = 3.0 * (A.shape[1] + 2) * (_EPS * (sq_a + sq_b_max) + _TINY)
+    refine = ~(E > (kth + 2.0 * tau)[:, None])
+    if self_start is not None:
+        refine[local, self_start + local] = False
+    if dist2 is not None or k > 1:
+        found, index[...] = _refine(A, B, refine, k)
+        if dist2 is not None:
+            dist2[...] = found
+        return
+    # A row with one pair left takes its column (argmax of the mask: the
+    # excluded self may hold the row's smallest E); the others refine.
+    index[:, 0] = refine.argmax(axis=1)
+    multi = np.flatnonzero(refine.sum(axis=1) > 1)
+    if multi.size:
+        index[multi] = _refine(A[multi], B, refine[multi], 1)[1]
 
 
 def _refine(A, B, refine, k: int) -> tuple:

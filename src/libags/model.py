@@ -68,8 +68,14 @@ def rff_encode(encoder: RffEncoder, x: FeatureMatrix) -> FeatureMatrix:
     if x.n_cols != encoder.input_dim:
         raise ValidationError(f"encoder expects {encoder.input_dim} columns, got {x.n_cols}")
     phases = x.values @ encoder.projection
+    half = phases.shape[1]
     scale = np.sqrt(2.0 / encoder.output_dim)
-    return FeatureMatrix(scale * np.hstack([np.cos(phases), np.sin(phases)]))
+    out = np.empty((phases.shape[0], 2 * half))
+    # cos and sin run on contiguous arrays, as numpy's strided loops may
+    # round differently; only the exactly rounded products fill the halves.
+    np.multiply(scale, np.cos(phases), out=out[:, :half])
+    np.multiply(scale, np.sin(phases, out=phases), out=out[:, half:])
+    return FeatureMatrix._adopt(out)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ value, the only columns the greedy reads. The kernel stage holds O(M u)
 memory, the (M, u) result and one product block, and runs nothing when
 u = 0. The calling thread goes on to build the k-means regions
 (``regions``); the greedy and the soft labels start once both sides are
-done. A failed kNN stage or a failed allocation raises before the
+done. The greedy is the columns' last reader, so they are dropped
+before the soft labels are built. A failed kNN stage or a failed allocation raises before the
 kernel stage is queued, so no pool distance is computed. The worker
 spends most of its time in matrix products and in elementwise passes
 that release the interpreter lock. The two sides
@@ -380,6 +381,7 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     t0 = clock()
     budget = None if config.max_budget == "none" else config.max_budget
     state = greedy_select(values, sim, regions, eta=None, max_budget=budget)
+    del sim, kernel  # the (M, u) columns are not read again; the future held them too
     selected = state.selected
     if state.eta == 0.0 and selected:
         warnings.append(
@@ -415,12 +417,12 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
 
 def fit_with_extra(real: LabeledDataset, extra_features, extra_targets, config: PipelineConfig) -> LogisticModel:
     """Fit a classifier on one-hot real labels plus extra rows with target distributions."""
-    features = real.features.values
+    features = real.features
     targets = one_hot(real.labels, real.n_classes)
     if len(extra_features):
-        features = np.vstack([features, extra_features])
+        features = FeatureMatrix._adopt(np.vstack([features.values, extra_features]))
         targets = np.vstack([targets, extra_targets])
-    return fit_logistic_soft(FeatureMatrix(features), targets, config.l2, config.epochs, config.lr)
+    return fit_logistic_soft(features, targets, config.l2, config.epochs, config.lr)
 
 
 def train_final(real: LabeledDataset, report: SelectionReport, candidates: CandidatePool, config: PipelineConfig) -> LogisticModel:

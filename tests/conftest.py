@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,3 +25,14 @@ def make_blobs(n_classes: int, seed: int = 0):
 def blobs():
     """``make_blobs``, for tests that need a pool with more than two classes."""
     return make_blobs
+
+
+def peak_bytes(fn):
+    """``(fn(), peak)``: what ``fn`` returns and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,24 @@ class TestFeatureMatrix:
         fm = FeatureMatrix(np.ones((2, 2)))
         with pytest.raises(ValueError):
             fm.values[0, 0] = 5.0
+
+    @pytest.mark.parametrize("arr", [np.ones(3), np.empty((0, 2)), np.empty((2, 0)), np.array([[1.0, np.inf]])])
+    def test_adopt_rejects_what_the_constructor_rejects(self, arr):
+        with pytest.raises(ValidationError) as copied:
+            FeatureMatrix(arr.copy())
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(copied.value))}$"):
+            FeatureMatrix._adopt(arr)
+
+    def test_adopt_freezes_the_array_itself(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        fm = FeatureMatrix._adopt(arr)
+        assert fm.values is arr and not arr.flags.writeable
+
+    def test_constructor_copies_and_leaves_the_caller_array_writeable(self):
+        arr = np.arange(6.0).reshape(3, 2)
+        fm = FeatureMatrix(arr)
+        assert not np.shares_memory(fm.values, arr)
+        assert arr.flags.writeable and not fm.values.flags.writeable
 
 
 class TestLabeledDataset:

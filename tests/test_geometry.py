@@ -1,11 +1,11 @@
 import math
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 from libags.data import FeatureMatrix
 from libags.errors import ValidationError
 from libags import geometry
@@ -175,19 +175,15 @@ class TestKnnDistances:
 
     def test_memory_is_the_outputs_and_a_few_blocks(self):
         # The screening block, its expansion scratch, its partition copy and
-        # the masks are each at most _BLOCK elements; the outputs are the
-        # squared distances, the indices and the square roots.
+        # the masks are each at most _BLOCK elements, and only one block's
+        # are held at a time; the outputs are the squared distances, the
+        # indices and the square roots.
         rng = np.random.default_rng(18)
         ref = FeatureMatrix(rng.normal(size=(1200, 3)))
         query = FeatureMatrix(rng.normal(size=(3000, 3)))
-        tracemalloc.start()
-        try:
-            got = knn_distances(ref, query, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = peak_bytes(lambda: knn_distances(ref, query, 10))
         assert got.shape == (3000, 10)
-        assert peak < 3 * got.nbytes + 5 * geometry._BLOCK * 8
+        assert peak < 3 * got.nbytes + 3 * geometry._BLOCK * 8
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_index_only_gives_the_same_neighbors(self):
@@ -470,12 +466,7 @@ class TestBandwidthHeuristics:
         # the similarity matrix in place.
         M = 1500
         feats = FeatureMatrix(np.random.default_rng(14).normal(size=(M, 8)))
-        tracemalloc.start()
-        try:
-            S = pool_kernel(feats, np.arange(M), None, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        S, peak = peak_bytes(lambda: pool_kernel(feats, np.arange(M), None, 10))
         assert S.shape == (M, M)
         assert peak < 1.1 * M * M * 8  # a separate similarity matrix needed about 2x
 
@@ -484,12 +475,7 @@ class TestBandwidthHeuristics:
         # scratch of its expansion, each at most _BLOCK elements.
         M, u = 3000, 150
         feats = FeatureMatrix(np.random.default_rng(15).normal(size=(M, 8)))
-        tracemalloc.start()
-        try:
-            S = pool_kernel(feats, np.arange(0, M, M // u), None, 10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        S, peak = peak_bytes(lambda: pool_kernel(feats, np.arange(0, M, M // u), None, 10))
         assert S.shape == (M, u)
         assert peak < M * u * 8 + 3 * geometry._BLOCK * 8
 

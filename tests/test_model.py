@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import libags.model as model_module
-from libags.data import FeatureMatrix
+from conftest import peak_bytes
+from libags.data import FeatureMatrix, make_two_moons
 from libags.errors import DivergenceError, ValidationError
 from libags.label import soft_label
 from libags.model import (
@@ -61,6 +62,24 @@ class TestRffEncoder:
     def test_bad_arguments_rejected_by_name(self, d_in, bandwidth, seed, named):
         with pytest.raises(ValidationError, match=f"^{named} must"):
             RffEncoder.create(d_in, 8, bandwidth, seed)
+
+    @pytest.mark.parametrize("d_out", [2, 200])
+    @pytest.mark.parametrize("rows", [1, 7, 3501])
+    def test_bit_identical_to_the_stacked_expression(self, rows, d_out):
+        enc = RffEncoder.create(2, d_out, 0.4, rows)
+        x = FeatureMatrix(np.random.default_rng(rows).normal(size=(rows, 2)))
+        phases = x.values @ enc.projection
+        want = np.sqrt(2.0 / d_out) * np.hstack([np.cos(phases), np.sin(phases)])
+        assert rff_encode(enc, x).values.tobytes() == want.tobytes()
+
+    def test_memory_is_about_twice_the_result(self):
+        # The phases and one contiguous half-width temporary beside the
+        # result, which is frozen in place rather than copied.
+        _, _, pool = make_two_moons(1000, 0.3, 0.55, 0)
+        enc = RffEncoder.create(2, 200, 0.4, 1)
+        encoded, peak = peak_bytes(lambda: rff_encode(enc, pool.features))
+        assert encoded.values.shape == (3500, 200)
+        assert peak <= 2.25 * encoded.values.nbytes
 
     def test_projection_std_matches_bandwidth(self):
         enc = RffEncoder.create(50, 400, 2.0, 4)

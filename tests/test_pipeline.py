@@ -3,19 +3,20 @@ import json
 import math
 import sys
 import threading
-import tracemalloc
+import weakref
 from concurrent.futures import Future
 
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
 import libags.geometry as geometry
 import libags.pipeline as pipeline_module
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons
 from libags.errors import ValidationError
 from libags.geometry import pool_kernel
 from libags.model import fit_logistic, one_hot, predict_proba
-from libags.pipeline import PipelineConfig, REPORT_FORMAT, run_selection, train_final
+from libags.pipeline import PipelineConfig, REPORT_FORMAT, fit_with_extra, run_selection, train_final
 from libags.score import ScoreRecord
 from libags.select import GainStep, build_regions, greedy_select
 
@@ -465,15 +466,33 @@ class TestKernelWorker:
         real, _, pool = make_two_moons(1000, 0.3, 0.55, 0)
         M = pool.n_rows
         products = count_pool_products(monkeypatch)
-        tracemalloc.start()
-        try:
-            report = run_selection(real, pool, PipelineConfig())
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        report, peak = peak_bytes(lambda: run_selection(real, pool, PipelineConfig()))
         assert report.m_hat > 0
         assert len(products) == 1 and 0 < products[0] < M / 4
         assert peak < M * products[0] * 8 + 10 * geometry._BLOCK * 8
+
+    def test_kernel_columns_are_released_before_the_soft_labels(self, monkeypatch):
+        # The greedy is the last reader of the (M, u) columns the worker built,
+        # so neither the pipeline nor the kernel future may keep them alive
+        # while the soft labels, the score records and the report are built.
+        real, pool, config, _ = overlap_case("two-moons")
+        similarity = []
+        alive = []
+        greedy, label = pipeline_module.greedy_select, pipeline_module.soft_label
+
+        def recording_greedy(values, sim, *args, **kwargs):
+            similarity.append(weakref.ref(sim))
+            return greedy(values, sim, *args, **kwargs)
+
+        def recording_label(*args):
+            if not alive:
+                alive.append(similarity[0]() is not None)
+            return label(*args)
+
+        monkeypatch.setattr(pipeline_module, "greedy_select", recording_greedy)
+        monkeypatch.setattr(pipeline_module, "soft_label", recording_label)
+        assert run_selection(real, pool, config).m_hat > 0
+        assert len(similarity) == 1 and alive == [False]
 
     def test_kernel_runs_off_the_calling_thread_on_one_blas_thread(self, monkeypatch):
         real, pool, config, _ = overlap_case("two-moons")
@@ -548,6 +567,19 @@ class TestTrainFinal:
         assert sizes == [(train.n_rows + report.m_hat, train.n_rows + report.m_hat)]
         pred = predict_proba(final, train.features)
         assert pred.shape == (train.n_rows, 2)
+
+    def test_no_extra_rows_fit_the_real_features_themselves(self, monkeypatch):
+        train, _, _ = make_two_moons(30, 0.3, 0.4, 7)
+        seen = []
+        original = pipeline_module.fit_logistic_soft
+
+        def recording_fit(features, *args, **kwargs):
+            seen.append(features)
+            return original(features, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "fit_logistic_soft", recording_fit)
+        fit_with_extra(train, [], [], tiny_config())
+        assert len(seen) == 1 and seen[0] is train.features
 
     def test_pool_mismatch_rejected(self):
         train, _, pool = make_two_moons(30, 0.3, 0.4, 7)

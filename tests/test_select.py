@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import peak_bytes
+from libags import geometry
 from libags.data import FeatureMatrix, make_two_moons
 from libags.errors import ValidationError
 from libags.geometry import pool_kernel
@@ -202,6 +204,15 @@ class TestBuildRegions:
             assert len(got) == len(centroids) and all(np.array_equal(a, b) for a, b in zip(got, centroids)), K
             centroids.clear()
         assert np.bincount(table.assignment, minlength=8).min() == 0
+
+    def test_memory_is_a_few_blocks(self):
+        # Each k-means assignment screens one block of about _BLOCK distances
+        # at a time and frees it before the next.
+        real, _, pool = make_two_moons(1000, 0.3, 0.55, 0)
+        r = np.random.default_rng(0).random(pool.n_rows)
+        table, peak = peak_bytes(lambda: build_regions(real.features, pool.features, r, 60, 0))
+        assert table.n_regions == 60
+        assert peak < 3 * geometry._BLOCK * 8
 
     def test_single_region_counts_all_reals(self):
         rng = np.random.default_rng(0)
