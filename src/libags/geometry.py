@@ -14,11 +14,13 @@ the pool's Gram product in row blocks: it keeps only the columns asked
 for, reads each row's k-th distance for the ``median-knn`` bandwidth,
 and never holds the whole M x M distance matrix unless every column is
 asked for.
-Nearest-neighbor answers (``knn_distances`` and the k-means assignment)
-must equal those of the direct differences formula sum((a - b)^2) bit
-for bit, so ``nearest`` screens with the expansion, bounds its rounding
-error, and recomputes with the direct formula only the pairs that the
-bound cannot settle.
+``nearest`` answers the two neighbor questions the package asks: the k
+smallest squared distances per row (``knn_distances``, where excluding
+each row's self is one more neighbor) and the index of the nearest row
+(the k-means assignment). Both must equal those of the direct formula
+sum((a - b)^2) bit for bit, so ``nearest`` screens with the expansion,
+bounds its rounding error, and recomputes with the direct formula only
+the pairs that the bound cannot settle.
 
 The kNN statistics are functions of one query's distances: the pipeline
 asks ``knn_distances`` once for the candidates' distances to the real
@@ -136,21 +138,19 @@ def direct_sq_distances(A, B) -> np.ndarray:
     return diff.sum(axis=-1)
 
 
-def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
-    """The k nearest rows of ``B`` for each row of ``A``, by the direct formula.
+def nearest(A, B, k: int, index: bool = False) -> np.ndarray:
+    """The (len(A), k) squared distances from each row of ``A`` to its k nearest rows of ``B``.
 
-    Returns ``(dist2, index)``, both of shape (len(A), k): squared
-    distances from ``direct_sq_distances`` in ascending order with ties
-    toward the lower index, exactly what a stable sort of each row of
-    the full direct-formula matrix would give. With ``exclude_self``
-    ``A`` holds the rows of ``B`` in order and row i skips row i of ``B``.
-    With ``distances=False`` ``dist2`` is None, and for k = 1 the rows
-    the screening leaves with a single candidate skip the direct formula
-    and the sort. Rows of ``A`` go through in blocks of about ``_BLOCK``
-    screening distances (``_nearest_block``), so the expansion, its
-    partition copy and its masks each stay cache-sized, and only one
-    block's buffers are held at a time: they are freed before the next
-    block's expansion is allocated.
+    The values are those of ``direct_sq_distances``, ascending, exactly
+    what a stable sort of each row of the full direct-formula matrix
+    would give. With ``index=True`` (k must be 1) it returns instead the
+    (len(A),) index of each row's nearest row of ``B``, ties toward the
+    lower index; the rows the screening leaves with a single candidate
+    skip the direct formula and the sort. Rows of ``A`` go through in
+    blocks of about ``_BLOCK`` screening distances (``_nearest_block``),
+    so the expansion, its partition copy and its masks each stay
+    cache-sized, and only one block's buffers are held at a time: they
+    are freed before the next block's expansion is allocated.
 
     The expansion E = ``_expansion`` screens the pairs. Write u = eps/2,
     s = ||a||^2 + ||b||^2, D the exact squared distance and F the direct
@@ -172,53 +172,42 @@ def nearest(A, B, k: int, exclude_self: bool = False, distances: bool = True):
     are recomputed with the direct formula. Overflow makes E or tau
     non-finite; such pairs fail the comparison and are recomputed too.
     """
+    if index and k != 1:
+        raise ValidationError(f"the index form answers k = 1 only, got k = {k}")
     n = A.shape[0]
     sq_a = (A * A).sum(axis=1)
     sq_b = (B * B).sum(axis=1)
     sq_b_max = float(sq_b.max())
-    dist2 = np.empty((n, k)) if distances else None
-    index = np.empty((n, k), dtype=np.intp)
+    out = np.empty(n, dtype=np.intp) if index else np.empty((n, k))
     rows = max(1, _BLOCK // B.shape[0])
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        _nearest_block(A[block], B, sq_a[block], sq_b, sq_b_max, start if exclude_self else None,
-                       index[block], None if dist2 is None else dist2[block])
-    return dist2, index
+        out[block] = _nearest_block(A[block], B, sq_a[block], sq_b, sq_b_max, k, index)
+    return out
 
 
-def _nearest_block(A, B, sq_a, sq_b, sq_b_max: float, self_start, index, dist2) -> None:
-    """One screening block of ``nearest``, written into ``index`` and, unless it is None, ``dist2``.
+def _nearest_block(A, B, sq_a, sq_b, sq_b_max: float, k: int, index: bool) -> np.ndarray:
+    """One screening block of ``nearest``: its squared distances, or with ``index`` its nearest indices.
 
-    Row i of ``A`` skips row ``self_start + i`` of ``B`` unless
-    ``self_start`` is None. The block's expansion, partition copy and
-    masks live only in this call, so ``nearest`` holds one block's
-    buffers at a time.
+    The block's expansion, partition copy and masks live only in this
+    call, so ``nearest`` holds one block's buffers at a time.
     """
-    k = index.shape[1]
     E = _expansion(A, B, sq_a, sq_b)
-    local = np.arange(len(A))
-    if self_start is not None:
-        E[local, self_start + local] = np.inf
     kth = E.min(axis=1) if k == 1 else np.partition(E, k - 1, axis=1)[:, k - 1]
     tau = 3.0 * (A.shape[1] + 2) * (_EPS * (sq_a + sq_b_max) + _TINY)
     refine = ~(E > (kth + 2.0 * tau)[:, None])
-    if self_start is not None:
-        refine[local, self_start + local] = False
-    if dist2 is not None or k > 1:
-        found, index[...] = _refine(A, B, refine, k)
-        if dist2 is not None:
-            dist2[...] = found
-        return
-    # A row with one pair left takes its column (argmax of the mask: the
-    # excluded self may hold the row's smallest E); the others refine.
-    index[:, 0] = refine.argmax(axis=1)
+    if not index:
+        return _refine(A, B, refine, k, False)
+    # A row with one pair left takes its column; the others refine.
+    found = refine.argmax(axis=1)
     multi = np.flatnonzero(refine.sum(axis=1) > 1)
     if multi.size:
-        index[multi] = _refine(A[multi], B, refine[multi], 1)[1]
+        found[multi] = _refine(A[multi], B, refine[multi], 1, True)[:, 0]
+    return found
 
 
-def _refine(A, B, refine, k: int) -> tuple:
-    """The k nearest rows of ``B`` among each row's ``refine`` pairs, by the direct formula."""
+def _refine(A, B, refine, k: int, index: bool) -> np.ndarray:
+    """The k nearest rows of ``B`` among each row's ``refine`` pairs, by the direct formula: distances or indices."""
     r, c = np.divmod(np.flatnonzero(refine), refine.shape[1])  # row-major: by row, then by column
     counts = np.bincount(r, minlength=refine.shape[0])
     f = np.empty(r.size)
@@ -228,7 +217,7 @@ def _refine(A, B, refine, k: int) -> tuple:
     # Sort by row, then by distance; the sort is stable, so ties keep the lower column.
     order = np.lexsort((f, r))
     pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-    return f[pick], c[pick]
+    return c[pick] if index else f[pick]
 
 
 def knn_distances(reference: FeatureMatrix, query: FeatureMatrix, k: int, exclude_self: bool = False) -> np.ndarray:
@@ -236,18 +225,18 @@ def knn_distances(reference: FeatureMatrix, query: FeatureMatrix, k: int, exclud
 
     The values are those of the direct formula sqrt(sum((q - r)^2)),
     bit for bit (see ``nearest``). With ``exclude_self=True`` the query
-    rows must be the reference rows in order; each row then ignores its
-    own reference entry.
+    must be the reference and each row ignores its own entry: a finite
+    row lies at distance exactly 0 from itself, the least any distance
+    can be, so it asks for k + 1 neighbors and drops the first.
     """
     if query.n_cols != reference.n_cols:
         raise ValidationError(f"query has {query.n_cols} columns, reference has {reference.n_cols}")
-    available = reference.n_rows - (1 if exclude_self else 0)
-    if exclude_self and query.n_rows != reference.n_rows:
+    skip = int(exclude_self)
+    if skip and not np.array_equal(query.values, reference.values):
         raise ValidationError("exclude_self requires the query rows to be the reference rows")
-    if k < 1 or k > available:
-        raise ValidationError(f"k must lie in [1, {available}], got {k}")
-    dist2, _ = nearest(query.values, reference.values, k, exclude_self=exclude_self)
-    return np.sqrt(dist2)
+    if k < 1 or k > reference.n_rows - skip:
+        raise ValidationError(f"k must lie in [1, {reference.n_rows - skip}], got {k}")
+    return np.sqrt(nearest(query.values, reference.values, k + skip)[:, skip:])
 
 
 def unit_ball_volume(dim: int) -> float:

@@ -76,7 +76,7 @@ def _kmeans_pp_init(X, k, rng):
 
 def _assign(X, centroids):
     """Nearest centroid per row by the direct formula, ties to the lower index."""
-    return nearest(X, centroids, 1, distances=False)[1][:, 0]
+    return nearest(X, centroids, 1, index=True)
 
 
 def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatrix, r, n_regions: int, seed: int) -> RegionTable:
@@ -193,12 +193,10 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     search finds no interior, ``eta`` is 0 and the pass goes on to
     accept every positive gain.
 
-    ``similarity`` is the symmetric (M, M) matrix ``pool_kernel(features,
-    np.arange(M), ...)`` builds, or its (M, u) valued columns: the u
-    columns of the candidates with nonzero value, in index order
-    (``pool_kernel(features, np.flatnonzero(values), ...)``). Given the
-    full matrix the selector gathers those columns itself. Candidate j's
-    similarities are read from row j; they must be finite.
+    ``similarity`` holds the (M, u) valued columns: the u columns of the
+    candidates with nonzero value, in index order, as
+    ``pool_kernel(features, np.flatnonzero(values), ...)`` builds them.
+    Candidate j's similarities are read from row j; they must be finite.
 
     A zero-valued column adds nothing to F, so the cover and each
     facility pass cover the valued columns only. Each pass's terms are
@@ -216,12 +214,8 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     valued = np.flatnonzero(values)
     u = valued.size
     similarity = np.asarray(similarity)
-    if similarity.shape == (M, M) and u < M:
-        similarity = similarity[:, valued]
-    elif similarity.shape != (M, u):
-        raise ValidationError(
-            f"similarity must be the ({M}, {M}) matrix or its ({M}, {u}) valued columns, got shape {similarity.shape}"
-        )
+    if similarity.shape != (M, u):
+        raise ValidationError(f"similarity must be the ({M}, {u}) valued columns, got shape {similarity.shape}")
     budget = M if max_budget is None else min(int(max_budget), M)
     assignment = regions.assignment.tolist()
     valued_values = values[valued]

@@ -27,6 +27,11 @@ def blobs():
     return make_blobs
 
 
+def valued_columns(values, sim):
+    """The (M, u) columns of the (M, M) similarity ``sim`` that ``greedy_select`` reads: those of the valued candidates."""
+    return sim[:, np.flatnonzero(values)]
+
+
 def peak_bytes(fn):
     """``(fn(), peak)``: what ``fn`` returns and the peak of the memory tracemalloc traced while it ran."""
     tracemalloc.start()

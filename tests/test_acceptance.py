@@ -21,6 +21,7 @@ from libags.model import cross_entropy, one_hot
 from libags.pipeline import PipelineConfig, run_selection
 from libags.select import build_regions, greedy_select, marginal_gain
 
+from conftest import valued_columns
 from test_alloc import continuous_allocation_oracle
 from test_bench import brute_force_auroc
 from test_label import soft_label_bound_check
@@ -113,7 +114,7 @@ def test_criterion_4_coverage_objective_properties():
             budget = int(rng.integers(1, 5))
             regions = build_regions(feats, feats, np.zeros(M), 1, 0)
             regions.r_region[:] = 0.0
-            state = greedy_select(values, sim, regions, 0.0, max_budget=budget)
+            state = greedy_select(values, valued_columns(values, sim), regions, 0.0, max_budget=budget)
             best = max(facility_value(values, sim, combo) for combo in itertools.combinations(range(M), budget))
             if best > 0:
                 min_ratio = min(min_ratio, facility_value(values, sim, state.selected) / best)
@@ -147,7 +148,7 @@ def test_criterion_5_lazy_equals_naive():
         regions = build_regions(real, feats, rng.uniform(0, 1, M), int(rng.integers(1, max(2, M // 2))), int(rng.integers(10**6)))
         eta = float(rng.choice([0.0, 0.02, 0.1, 0.4]))
         budget = int(rng.integers(1, M + 1)) if rng.random() < 0.5 else None
-        state = greedy_select(values, sim, regions, eta, max_budget=budget)
+        state = greedy_select(values, valued_columns(values, sim), regions, eta, max_budget=budget)
         ref_selected, ref_gains = naive_greedy(values, sim, regions, eta, budget)
         same = state.selected == ref_selected and all(
             step.combined_gain == combined and step.facility_gain == fac and step.region_gain == reg

@@ -176,38 +176,68 @@ class TestKnnDistances:
     def test_memory_is_the_outputs_and_a_few_blocks(self):
         # The screening block, its expansion scratch, its partition copy and
         # the masks are each at most _BLOCK elements, and only one block's
-        # are held at a time; the outputs are the squared distances, the
-        # indices and the square roots.
+        # are held at a time; the outputs are the squared distances and
+        # their square roots, with no index array.
         rng = np.random.default_rng(18)
         ref = FeatureMatrix(rng.normal(size=(1200, 3)))
         query = FeatureMatrix(rng.normal(size=(3000, 3)))
         got, peak = peak_bytes(lambda: knn_distances(ref, query, 10))
         assert got.shape == (3000, 10)
-        assert peak < 3 * got.nbytes + 3 * geometry._BLOCK * 8
+        assert peak < 2 * got.nbytes + 2 * geometry._BLOCK * 8
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_index_only_gives_the_same_neighbors(self):
+        def direct_argmin(query, ref):
+            """Direct-formula nearest row; argmin takes the first, so ties go to the lower index."""
+            return ((query[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
+
         rng = np.random.default_rng(14)
         for name, ref, query in adversarial_sets(rng, 3)[:4]:
-            for k in (1, 3):
-                dist2, want = nearest(query, ref, k)
-                none, got = nearest(query, ref, k, distances=False)
-                assert none is None and np.array_equal(got, want), (name, k)
-            _, want = nearest(ref, ref, 1, exclude_self=True)
-            assert np.array_equal(nearest(ref, ref, 1, exclude_self=True, distances=False)[1], want), name
+            assert np.array_equal(nearest(query, ref, 1, index=True), direct_argmin(query, ref)), name
+            assert np.array_equal(nearest(ref, ref, 1, index=True), direct_argmin(ref, ref)), name
         # duplicated reference rows: a tie goes to the lower index
         half = rng.normal(size=(35, 3))
         ref = np.vstack([half, half])
         query = np.vstack([ref, rng.normal(size=(20, 3))])
-        got = nearest(query, ref, 1, distances=False)[1][:, 0]
-        assert np.array_equal(got, ((query[:, None, :] - ref[None, :, :]) ** 2).sum(axis=2).argmin(axis=1))
+        got = nearest(query, ref, 1, index=True)
+        assert np.array_equal(got, direct_argmin(query, ref))
         assert np.all(got < 35)
-        # each row's screening distances are all inf (its norms overflow in the
-        # expansion, its self entry is excluded): the mask, not E, names the neighbor
+        # the norms overflow in the expansion: each row screens its self entry
+        # as NaN and the other as inf, neither settles the row, and the direct
+        # formula names the neighbor
         ref = np.array([[1e154, 0.0], [0.0, 1e154]])
-        _, want = nearest(ref, ref, 1, exclude_self=True)
-        _, got = nearest(ref, ref, 1, exclude_self=True, distances=False)
-        assert np.array_equal(want, [[1], [0]]) and np.array_equal(got, want)
+        got = nearest(ref, ref, 1, index=True)
+        assert np.array_equal(got, [0, 1]) and np.array_equal(got, direct_argmin(ref, ref))
+        with pytest.raises(ValidationError, match="k = 1 only"):
+            nearest(ref, ref, 2, index=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_self_exclusion_is_one_more_neighbor(self):
+        rng = np.random.default_rng(23)
+        half = rng.normal(size=(12, 2))
+        several_blocks = rng.normal(size=(400, 2))
+        assert len(several_blocks) > 2 * (geometry._BLOCK // len(several_blocks))
+        inputs = [
+            ("duplicated rows", np.vstack([half, half, half[:5]])),  # ties at distance 0
+            ("collinear", np.array([[0.0], [1.0], [2.0], [3.0], [5.0], [8.0]])),
+            ("overflowing pair", np.array([[1e154, 0.0], [0.0, 1e154]])),
+            ("several blocks", several_blocks),
+        ]
+        for name, pts in inputs:
+            n = len(pts)
+            want = brute_force_knn(pts, pts, n - 1, exclude_self=True)  # ascending: its first k columns answer k
+            for k in sorted({1, min(3, n - 1), n - 1}):
+                got = knn_distances(FeatureMatrix(pts), FeatureMatrix(pts), k, exclude_self=True)
+                assert np.array_equal(got, want[:, :k]), (name, k)
+
+    def test_exclude_self_requires_the_reference_rows(self):
+        pts = np.random.default_rng(24).normal(size=(8, 2))
+        other = FeatureMatrix(pts[::-1].copy())  # the same rows in another order
+        with pytest.raises(ValidationError, match="query rows to be the reference rows"):
+            knn_distances(FeatureMatrix(pts), other, 2, exclude_self=True)
+        # a second matrix over the same values is the reference
+        same = knn_distances(FeatureMatrix(pts), FeatureMatrix(pts.copy()), 2, exclude_self=True)
+        assert np.array_equal(same, brute_force_knn(pts, pts, 2, exclude_self=True))
 
     def test_k_too_large(self):
         pts = FeatureMatrix(np.ones((3, 2)))
