@@ -34,7 +34,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _load_config(path, seed) -> PipelineConfig:
+def _load_config(path, seed=None) -> PipelineConfig:
     config = PipelineConfig.from_json_file(path) if path else PipelineConfig()
     if seed is not None:
         config = config.replace(seed=seed)
@@ -77,7 +77,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    config = _load_config(args.config, args.seed)
+    config = _load_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
@@ -172,12 +172,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_io(p_score)
     p_score.set_defaults(func=_cmd_score)
 
-    p_bench = sub.add_parser("bench", help="two-moons benchmark over seeds")
+    # Seeds come from --seeds alone; with abbreviations off, --seed is
+    # rejected rather than read as --seeds.
+    p_bench = sub.add_parser("bench", help="two-moons benchmark over seeds", allow_abbrev=False)
     p_bench.add_argument("--methods", required=True, help=f"comma list from {','.join(METHODS)}")
     p_bench.add_argument("--seeds", required=True, help="comma list of integer seeds")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--config", default=None)
-    p_bench.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_bench.add_argument("--n-per-class", type=int, default=DEFAULT_N_PER_CLASS)
     p_bench.add_argument("--noise-sd", type=float, default=DEFAULT_NOISE_SD)
     p_bench.add_argument("--gap", type=float, default=DEFAULT_GAP_HALFWIDTH)

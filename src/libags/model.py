@@ -12,9 +12,10 @@ One fit allocates its per-epoch temporaries once (``_Work``) and every
 epoch rewrites them with ``out=``. Below 8 classes the log-softmax runs on
 a class-major (K, n) copy of the logits, so its passes run along the rows
 rather than along the short class axis. The loss, the two matrix products
-and the bias gradient's row-order running sum keep the operand layouts
-and summation orders the trainer has always had, so weights, bias, loss
-curve and probabilities do not change in a single bit.
+and the bias gradient's row-order running sum use the operand layouts and
+summation orders of the plain-numpy reference trainer in
+``tests/test_model.py``, so weights, bias, loss curve and probabilities
+match it bit for bit.
 
 Stability: the loss is guaranteed non-increasing whenever
 ``lr <= 2 / (max_row_sq + 2*l2)`` where ``max_row_sq`` is the largest
@@ -105,9 +106,9 @@ class _Work:
     runs along the n rows instead of along the short class axis. From 8
     classes on they are (n, K), the layout whose axis-1 reductions keep
     numpy's pairwise summation tree. Every other (n, K) array is C-order:
-    the loss sums its terms in row order, and ``resid.T @ X`` keeps the
-    operand layout the fits have always had, since OpenBLAS kernels may
-    round another layout differently.
+    the loss sums its terms in row order, and ``resid.T @ X`` uses the
+    operand layout of the reference trainer in ``tests/test_model.py``,
+    since OpenBLAS kernels may round another layout differently.
     """
 
     def __init__(self, n_rows: int, n_classes: int, n_cols: int):

@@ -56,7 +56,7 @@ from .geometry import _one_blas_thread, knn_density, knn_distances, pool_kernel,
 from .label import soft_label
 from .model import LogisticModel, fit_logistic, fit_logistic_soft, one_hot, predict_proba, validate_proba
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
-from .select import ETA_DYNAMIC_RANGE, build_regions, greedy_select
+from .select import ETA_DYNAMIC_RANGE, GainStep, build_regions, greedy_select
 
 REPORT_FORMAT = "libags-report/1"
 STAGES = ("scoring_model", "candidate_scores", "geometry", "allocation", "regions", "similarity", "eta", "greedy", "soft_labels")
@@ -170,10 +170,8 @@ class SelectionReport:
     def to_json(self, include_timings: bool = False) -> str:
         """The report as ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-        The per-candidate and per-step arrays, most of the text, are
-        written from one template per row, filled with the values' reprs
-        (json's own spelling of finite floats and ints); every other value
-        goes through ``json.dumps`` itself.
+        The score records and the gain log, most of the text, go through
+        ``_json_rows``; every other value goes through ``json.dumps`` itself.
         """
         payload = {
             "format": self.format,
@@ -181,6 +179,8 @@ class SelectionReport:
             "eta": self.eta,
             "lambda": self.lambda_,
             "tau": self.tau,
+            "selected": self.selected,
+            "soft_labels": self.soft_labels,
             "config": self.config,
             "warnings": self.warnings,
             "n_real": self.n_real,
@@ -190,43 +190,30 @@ class SelectionReport:
             payload["stage_seconds"] = self.stage_seconds
         # A value one level down is json's own text with every line indented once more.
         text = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ") for key, value in payload.items()}
-        text["scores"] = _json_objects(self.scores, ScoreRecord.FIELDS)
-        text["gains_log"] = _json_objects(self.gains_log, _GAIN_FIELDS)
-        text["soft_labels"] = _json_list([_json_list([_json_value(p, 3) for p in row], 2) for row in self.soft_labels], 1)
-        text["selected"] = _json_list([_json_value(j, 2) for j in self.selected], 1)
+        text["scores"] = _json_rows(self.scores, ScoreRecord)
+        text["gains_log"] = _json_rows(self.gains_log, GainStep)
         return "{\n" + ",\n".join(f"  {json.dumps(key)}: {text[key]}" for key in sorted(text)) + "\n}\n"
 
 
-_GAIN_FIELDS = ("step", "candidate", "facility_gain", "region_gain", "combined_gain")
+def _json_rows(rows: list, cls) -> str:
+    """The top-level list of ``{name: value}`` objects of ``rows``, instances of the dataclass ``cls``.
 
-
-def _json_value(value, level: int) -> str:
-    """``value`` as json.dumps(indent=2) writes it ``level`` levels deep."""
-    if type(value) is float and value - value == 0.0:  # finite: json writes NaN and Infinity itself
-        return float.__repr__(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * level)
-
-
-def _json_list(items: list, level: int) -> str:
-    """A list of already written items as json.dumps(indent=2) writes it ``level`` levels deep."""
-    if not items:
-        return "[]"
-    pad = "\n" + "  " * level
-    return "[" + pad + "  " + ("," + pad + "  ").join(items) + pad + "]"
-
-
-def _json_objects(rows, names) -> str:
-    """The top-level list of ``{name: row.name}`` objects, one template per row."""
-    names = sorted(names)
-    template = "{" + ",".join(f"\n      {json.dumps(name)}: %s" for name in names) + "\n    }"
-    values = list(chain.from_iterable(map(attrgetter(*names), rows)))
-    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
-        text = list(map(float.__repr__, values))  # all finite floats: repr is json's spelling
-    else:
-        text = [_json_value(value, 3) for value in values]
-    return _json_list([template] * len(rows), 1) % tuple(text)
+    When every value is an exact int or a finite float, each row fills one
+    template with the values' reprs, json's own spelling of both. Anything
+    else (NaN, infinities, bools, numpy scalars, no rows) goes through
+    ``json.dumps`` of the whole list.
+    """
+    names = sorted(f.name for f in fields(cls))
+    row_values = list(map(attrgetter(*names), rows))
+    values = tuple(chain.from_iterable(row_values))
+    try:
+        fast = rows and set(map(type, values)) <= {int, float} and math.isfinite(sum(values))
+    except OverflowError:  # an int too large for a float
+        fast = False
+    if not fast:
+        return json.dumps([dict(zip(names, row)) for row in row_values], indent=2, sort_keys=True).replace("\n", "\n  ")
+    template = "{" + ",".join(f"\n      {json.dumps(name)}: %r" for name in names) + "\n    }"
+    return "[\n    " + ",\n    ".join([template] * len(rows)) % values + "\n  ]"
 
 
 def _auto_regions(n_candidates: int) -> int:
@@ -432,7 +419,9 @@ def train_final(real: LabeledDataset, report: SelectionReport, candidates: Candi
     for j in report.selected:
         if not (0 <= j < candidates.n_rows):
             raise ValidationError(f"selected index {j} outside the candidate pool")
-    soft = np.asarray(report.soft_labels, dtype=np.float64)
-    if report.selected and soft.shape != (len(report.selected), real.n_classes):
+    if len(set(report.selected)) < len(report.selected):
+        raise ValidationError("selected repeats a candidate index")
+    if len(report.soft_labels) != len(report.selected) or any(np.shape(row) != (real.n_classes,) for row in report.soft_labels):
         raise ValidationError("soft labels do not match the selection")
+    soft = np.asarray(report.soft_labels, dtype=np.float64)
     return fit_with_extra(real, candidates.features.values[report.selected], soft, config)

@@ -312,6 +312,17 @@ class TestBenchCommand:
         assert err.count("\n") == 1 and err.startswith("error: ") and named in err
         assert not (tmp_path / "results.csv").exists()
 
+    def test_seed_flag_rejected(self, fast_config, tmp_path, capsys):
+        # bench takes its seeds from --seeds alone; --seed is neither a flag nor an abbreviation of --seeds.
+        out_dir = tmp_path / "bench"
+        argv = ["bench", "--methods", "erm", "--seeds", "0", "--seed", "3", "--out", str(out_dir), "--config", str(fast_config)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "--seed" in errors[0]
+        assert "Traceback" not in err
+        assert not out_dir.exists()
+
     def test_bad_seed_list_exits_one(self, tmp_path):
         assert main(["bench", "--methods", "erm", "--seeds", "zero", "--out", str(tmp_path)]) == 1
 

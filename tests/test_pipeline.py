@@ -389,7 +389,16 @@ class TestReportJson:
             soft_labels=[[math.inf, -0.0]] + picked.soft_labels[1:],
         )
         mixed = dataclasses.replace(picked, scores=picked.scores[:-1] + [ScoreRecord(1, np.float64(0.1), 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)])
-        for report in (picked, empty, nonfinite, mixed):
+        # Finite scores with an int keep the row template; a numpy float or a
+        # bool in the gain log sends it through json.dumps; so does an int too
+        # large for a float, beside -0.0 and the smallest subnormal.
+        int_scores = dataclasses.replace(picked, scores=[ScoreRecord(1, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)] + picked.scores[1:])
+        j = picked.selected[0]
+        numpy_gain, bool_gain, extreme_gain = (
+            dataclasses.replace(picked, gains_log=[step] + picked.gains_log[1:])
+            for step in (GainStep(1, j, np.float64(0.25), 0.5, 0.5), GainStep(1, j, 0.25, True, 0.5), GainStep(10**400, j, -0.0, 5e-324, 1e308))
+        )
+        for report in (picked, empty, nonfinite, mixed, int_scores, numpy_gain, bool_gain, extreme_gain):
             for include_timings in (False, True):
                 assert report.to_json(include_timings) == reference_json(report, include_timings)
 
@@ -580,6 +589,24 @@ class TestTrainFinal:
         monkeypatch.setattr(pipeline_module, "fit_logistic_soft", recording_fit)
         fit_with_extra(train, [], [], tiny_config())
         assert len(seen) == 1 and seen[0] is train.features
+
+    @pytest.mark.parametrize("case, message", [("repeated-index", "repeats a candidate index"),
+                                               ("rows-without-selection", "soft labels do not match the selection"),
+                                               ("ragged-rows", "soft labels do not match the selection")],
+                             ids=["repeated-index", "rows-without-selection", "ragged-rows"])
+    def test_selection_no_run_produces_rejected(self, case, message):
+        train, _, pool = make_two_moons(30, 0.3, 0.4, 7)
+        config = tiny_config()
+        report = run_selection(train, pool, config)
+        assert report.m_hat > 1
+        if case == "repeated-index":
+            bad = dataclasses.replace(report, selected=report.selected[:1] * 2, soft_labels=report.soft_labels[:1] * 2)
+        elif case == "rows-without-selection":
+            bad = dataclasses.replace(report, selected=[], soft_labels=report.soft_labels[:1])
+        else:
+            bad = dataclasses.replace(report, selected=report.selected[:2], soft_labels=[report.soft_labels[0], [1.0]])
+        with pytest.raises(ValidationError, match=message):
+            train_final(train, bad, pool, config)
 
     def test_pool_mismatch_rejected(self):
         train, _, pool = make_two_moons(30, 0.3, 0.4, 7)
