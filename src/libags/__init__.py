@@ -22,7 +22,7 @@ from .errors import (
 )
 from .geometry import knn_density, knn_distances, pool_kernel, support_validity, unit_ball_volume
 from .label import soft_label
-from .model import LogisticModel, RffEncoder, fit_logistic, fit_logistic_soft, load_model, one_hot, predict_proba, rff_encode, save_model
+from .model import LogisticModel, RffEncoder, fit_logistic, fit_logistic_soft, one_hot, predict_proba, rff_encode
 from .pipeline import PipelineConfig, SelectionReport, run_selection, train_final
 from .score import ScoreRecord, boundary_weight, entropy_rows, importance, select_tau, top_two_margin_rows
 from .select import GainStep, RegionTable, SelectionState, build_regions, greedy_select, marginal_gain, select_eta
@@ -62,7 +62,6 @@ __all__ = [
     "knn_distances",
     "load_candidate_csv",
     "load_labeled_csv",
-    "load_model",
     "make_two_moons",
     "marginal_gain",
     "one_hot",
@@ -71,7 +70,6 @@ __all__ = [
     "rff_encode",
     "run_bench",
     "run_selection",
-    "save_model",
     "select_eta",
     "select_tau",
     "soft_label",

@@ -1,6 +1,6 @@
 """Command-line front door.
 
-Subcommands: select, score, bench, demo-two-moons, export-grid.
+Subcommands: select, score, bench, demo-two-moons.
 Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 Every run is deterministic given its flags; wall-clock stage timings are
 the one optional nondeterministic field and --reproducible drops them.
@@ -18,7 +18,6 @@ import numpy as np
 from .bench import DEFAULT_GAP_HALFWIDTH, DEFAULT_N_PER_CLASS, DEFAULT_NOISE_SD, METHODS, export_boundary_grid, format_bench_summary, moons_world, run_bench, write_bench_csv
 from .data import CandidatePool, FeatureMatrix, load_candidate_csv, load_labeled_csv, load_probability_csv, write_candidate_csv
 from .errors import LibagsError, ValidationError
-from .model import RffEncoder, load_model
 from .pipeline import PipelineConfig, run_selection
 from .score import ScoreRecord
 
@@ -130,24 +129,6 @@ def _cmd_demo(args) -> int:
     return 0
 
 
-def _cmd_export_grid(args) -> int:
-    model = load_model(args.model)
-    encoder = None
-    if args.rff_dim is not None:
-        if args.input_dim is None:
-            raise UsageError("--input-dim is required with --rff-dim")
-        encoder = RffEncoder.create(args.input_dim, args.rff_dim, args.rff_bandwidth, args.rff_seed)
-    try:
-        bounds = tuple(float(v) for v in args.bounds.split(","))
-    except ValueError:
-        raise UsageError(f"--bounds must be xmin,xmax,ymin,ymax, got '{args.bounds}'") from None
-    if len(bounds) != 4:
-        raise UsageError("--bounds must have exactly four values")
-    export_boundary_grid(model, encoder, bounds, args.resolution, args.out)
-    print(f"wrote grid ({args.resolution}x{args.resolution}) -> {args.out}")
-    return 0
-
-
 def _add_common_io(parser):
     parser.add_argument("--real", required=True, help="labeled training CSV")
     parser.add_argument("--candidates", required=True, help="candidate pool CSV")
@@ -192,16 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--reproducible", action="store_true")
     p_demo.set_defaults(func=_cmd_demo)
 
-    p_grid = sub.add_parser("export-grid", help="probability surface of a saved model")
-    p_grid.add_argument("--model", required=True, help="model JSON from save_model")
-    p_grid.add_argument("--out", required=True)
-    p_grid.add_argument("--bounds", required=True, help="xmin,xmax,ymin,ymax")
-    p_grid.add_argument("--resolution", type=int, default=80)
-    p_grid.add_argument("--rff-dim", type=int, default=None, help="rebuild the encoder with this output dim")
-    p_grid.add_argument("--rff-bandwidth", type=float, default=1.0)
-    p_grid.add_argument("--rff-seed", type=int, default=0)
-    p_grid.add_argument("--input-dim", type=int, default=None)
-    p_grid.set_defaults(func=_cmd_export_grid)
     return parser
 
 

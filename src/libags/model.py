@@ -24,7 +24,6 @@ Stability: the loss is guaranteed non-increasing whenever
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -248,42 +247,3 @@ def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, 
             b -= np.multiply(lr, grad_b, out=grad_b)
     return LogisticModel(W, b, float(l2), tuple(losses))
 
-
-def save_model(path, model: LogisticModel) -> None:
-    payload = {
-        "weights": model.weights.tolist(),
-        "bias": model.bias.tolist(),
-        "l2": model.l2,
-        "n_classes": model.n_classes,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_model(path) -> LogisticModel:
-    """Read a model written by save_model; a malformed file raises ValidationError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"{path}: invalid model JSON: {exc}") from None
-    keys = ("weights", "bias", "l2", "n_classes")
-    if not isinstance(payload, dict) or any(key not in payload for key in keys):
-        raise ValidationError(f"{path}: model JSON must be an object with keys {', '.join(keys)}")
-    try:
-        W = np.asarray(payload["weights"], dtype=np.float64)
-        b = np.asarray(payload["bias"], dtype=np.float64)
-        l2 = float(payload["l2"])
-    except (TypeError, ValueError):
-        raise ValidationError(f"{path}: weights, bias and l2 must be numbers in rectangular arrays") from None
-    n_classes = payload["n_classes"]
-    if not (isinstance(n_classes, int) and n_classes >= 1):  # fit_logistic fits one class too
-        raise ValidationError(f"{path}: n_classes must be an integer of at least 1, got {n_classes!r}")
-    try:
-        model = LogisticModel(W, b, l2)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    if model.n_classes != n_classes:
-        raise ValidationError(f"{path}: n_classes is {n_classes} but the weights have {model.n_classes} rows")
-    return model

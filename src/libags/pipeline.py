@@ -263,7 +263,8 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     ``external_proba`` is an optional ``(real_proba, candidate_proba)``
     pair from any scoring model; without it a softmax classifier is fit
     on the real data. When no candidate has positive importance the
-    report comes back with ``m_hat == 0`` and a warning instead of an error.
+    report comes back with ``m_hat == 0`` and a warning naming the cause
+    instead of an error.
     """
     if real.features.n_cols != candidates.features.n_cols:
         raise ValidationError(
@@ -334,7 +335,12 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
         except NoPositiveImportance:
             gap_scores = np.zeros(n_cand)
             lambda_ = None
-            warnings.append("no candidate had positive importance; nothing to select")
+            zero = [name for name, f in (("boundary weight", weights), ("predictive entropy", entropies), ("support validity", support)) if not f.any()]
+            if zero:
+                why = f"{' and '.join(zero)} {'is' if len(zero) == 1 else 'are'} 0 for every candidate"
+            else:
+                why = "no one factor is 0 for every candidate; where none is 0, their product underflowed"
+            warnings.append(f"no candidate had positive importance ({why}); nothing to select")
         if lambda_ is not None and not (math.isfinite(lambda_) and lambda_ > 0):
             raise ValidationError(
                 f"allocation failed: lambda is {lambda_!r}, not a positive finite number; the kNN density reaches "

@@ -152,3 +152,9 @@ class TestExportBoundaryGrid:
         model = LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0)
         with pytest.raises(ValidationError):
             export_boundary_grid(model, None, (0, 1, 0, 1), 1, tmp_path / "g.csv")
+
+    def test_model_must_have_two_classes(self, tmp_path):
+        model = LogisticModel(np.zeros((1, 2)), np.zeros(1), 0.0)
+        with pytest.raises(ValidationError, match="at least 2 classes"):
+            export_boundary_grid(model, None, (0, 1, 0, 1), 2, tmp_path / "g.csv")
+        assert not (tmp_path / "g.csv").exists()

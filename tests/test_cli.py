@@ -1,12 +1,14 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from libags.cli import main
+from libags.cli import build_parser, main
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
 
 
@@ -375,80 +377,24 @@ class TestDemoCommand:
         assert (tmp_path / "7" / "selected.csv").read_bytes() != (tmp_path / "8" / "selected.csv").read_bytes()
 
 
-class TestExportGridCommand:
-    def test_round_trip_with_saved_model(self, tmp_path):
-        from libags.model import LogisticModel, save_model
-
-        model_path = tmp_path / "model.json"
-        save_model(model_path, LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0))
-        out = tmp_path / "grid.csv"
-        code = main(["export-grid", "--model", str(model_path), "--out", str(out), "--bounds", "0,1,0,1", "--resolution", "3"])
-        assert code == 0
-        assert len(out.read_text().strip().splitlines()) == 10
-
-    def test_bad_bounds_exit_one(self, tmp_path):
-        from libags.model import LogisticModel, save_model
-
-        model_path = tmp_path / "model.json"
-        save_model(model_path, LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0))
-        assert main(["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1", "--resolution", "3"]) == 1
-
-
 # Encoder arguments RffEncoder.create rejects, which numpy would otherwise turn
-# into a traceback or an error about the features: (command, its extra
-# arguments or bench config, the argument the error line names)
+# into a traceback or an error about the features: (the bench config, the
+# argument the error line names)
 BAD_ENCODERS = {
-    "grid-negative-seed": ("export-grid", ["--rff-seed", "-1"], "seed"),
-    "grid-negative-input-dim": ("export-grid", ["--input-dim", "-1"], "d_in"),
-    "grid-zero-input-dim": ("export-grid", ["--input-dim", "0"], "d_in"),
-    "grid-nan-bandwidth": ("export-grid", ["--rff-bandwidth", "nan"], "bandwidth"),
-    "bench-subnormal-bandwidth": ("bench", {"rff_bandwidth": 1e-320}, "bandwidth"),
+    "bench-subnormal-bandwidth": ({"rff_bandwidth": 1e-320}, "bandwidth"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_ENCODERS))
 def test_bad_encoder_exits_one_with_one_error_line(case, tmp_path, capsys):
-    from libags.model import LogisticModel, save_model
-
-    command, extra, named = BAD_ENCODERS[case]
-    if command == "export-grid":
-        model_path = tmp_path / "model.json"
-        save_model(model_path, LogisticModel(np.zeros((2, 4)), np.zeros(2), 0.0))
-        argv = ["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1,0,1",
-                "--resolution", "3", "--rff-dim", "4", "--input-dim", "2", *extra]
-    else:
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(extra))
-        argv = ["bench", "--methods", "erm", "--seeds", "0", "--n-per-class", "30", "--out", str(tmp_path), "--config", str(config)]
+    extra, named = BAD_ENCODERS[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(extra))
+    argv = ["bench", "--methods", "erm", "--seeds", "0", "--n-per-class", "30", "--out", str(tmp_path), "--config", str(config)]
     code = main(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith(f"error: {named} must")
-    assert "Traceback" not in err
-
-
-BAD_MODELS = {
-    "invalid-json": '{"weights": ',
-    "non-utf8": b'{"weights": "\xff"}',
-    "list": "[1, 2]",
-    "missing-keys": '{"weights": [[0, 0], [0, 0]], "bias": [0, 0]}',
-    "ragged-weights": '{"weights": [[0, 0], [0]], "bias": [0, 0], "l2": 0, "n_classes": 2}',
-    "non-numeric-bias": '{"weights": [[0, 0], [0, 0]], "bias": ["a", 0], "l2": 0, "n_classes": 2}',
-    "null-l2": '{"weights": [[0, 0], [0, 0]], "bias": [0, 0], "l2": null, "n_classes": 2}',
-    "one-class": '{"weights": [[0, 0]], "bias": [0], "l2": 0, "n_classes": 1}',
-    "class-count-mismatch": '{"weights": [[0, 0], [0, 0]], "bias": [0, 0], "l2": 0, "n_classes": 3}',
-}
-
-
-@pytest.mark.parametrize("case", sorted(BAD_MODELS))
-def test_bad_model_exits_one_with_one_error_line(case, tmp_path, capsys):
-    text = BAD_MODELS[case]
-    model_path = tmp_path / "model.json"
-    model_path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    code = main(["export-grid", "--model", str(model_path), "--out", str(tmp_path / "g.csv"), "--bounds", "0,1,0,1", "--resolution", "3"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
 
 
@@ -463,3 +409,18 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
+
+
+class TestCommandList:
+    def test_readme_synopsis_names_exactly_the_parser_commands(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = re.search(r"^## Command line\n\n```\n(.*?)^```", readme, re.M | re.S).group(1)
+        listed = [line.split()[1] for line in block.splitlines() if line.startswith("libags ")]
+        commands = re.search(r"\{([^}]*)\}", build_parser().format_usage()).group(1).split(",")
+        assert sorted(listed) == sorted(commands)
+        assert len(listed) == len(set(listed))
+
+    def test_unknown_command_exits_one(self, capsys):
+        assert main(["export-grid"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "invalid choice" in err and "export-grid" in err

@@ -15,11 +15,9 @@ from libags.model import (
     cross_entropy,
     fit_logistic,
     fit_logistic_soft,
-    load_model,
     one_hot,
     predict_proba,
     rff_encode,
-    save_model,
 )
 
 
@@ -369,37 +367,3 @@ class TestModelShapes:
     def test_inconsistent_shapes_rejected(self, weights, bias):
         with pytest.raises(ValidationError, match="weights must be"):
             LogisticModel(weights, bias, 0.0)
-
-    def test_load_model_names_the_file(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"weights": [[1.0, 2.0]], "bias": [0.0, 0.0], "l2": 0.0, "n_classes": 2}')
-        with pytest.raises(ValidationError, match="model.json: weights must be"):
-            load_model(path)
-        path.write_text('{"weights": [[1.0], [2.0]], "bias": [0.0, 0.0], "l2": 0.0, "n_classes": 3}')
-        with pytest.raises(ValidationError, match="n_classes is 3 but the weights have 2 rows"):
-            load_model(path)
-
-
-class TestModelIo:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        model = LogisticModel(rng.normal(size=(3, 5)), rng.normal(size=3), 0.01)
-        path = tmp_path / "model.json"
-        save_model(path, model)
-        back = load_model(path)
-        np.testing.assert_allclose(back.weights, model.weights, atol=1e-15)
-        np.testing.assert_allclose(back.bias, model.bias, atol=1e-15)
-        assert back.l2 == model.l2
-        assert back.n_classes == 3
-
-    @pytest.mark.parametrize("n_classes", [1, 3])
-    def test_fitted_model_round_trips(self, tmp_path, n_classes):
-        rng = np.random.default_rng(9)
-        x = FeatureMatrix(rng.normal(size=(12, 2)))
-        model = fit_logistic(x, np.arange(12) % n_classes, n_classes, 1e-3, 20, 0.5)
-        path = tmp_path / "model.json"
-        save_model(path, model)
-        back = load_model(path)
-        assert back.n_classes == n_classes
-        assert np.array_equal(back.weights, model.weights) and np.array_equal(back.bias, model.bias)
-        assert np.array_equal(predict_proba(back, x), predict_proba(model, x))

@@ -94,7 +94,28 @@ class TestRunSelection:
         assert report.eta == 0.0
         assert report.lambda_ is None
         assert report.gains_log == []
-        assert report.warnings == ["no candidate had positive importance; nothing to select"]
+        assert report.warnings == ["no candidate had positive importance (predictive entropy is 0 for every candidate); nothing to select"]
+
+    @pytest.mark.parametrize("case", ["support", "underflow"])
+    def test_no_positive_importance_warning_names_the_cause(self, case):
+        train, _, pool = make_two_moons(40, 0.3, 0.55, 0)
+        if case == "support":
+            # every candidate lies far beyond the real data: its support
+            # validity is 0, while the largest entropy is only tiny
+            shift, external, why = 1e3, None, "support validity is 0 for every candidate"
+        else:
+            # support validity about 1e-9 times entropies about 1e-317: every
+            # factor is positive, but the product is below the smallest float
+            near_one_hot = np.column_stack([np.ones(pool.n_rows), np.full(pool.n_rows, 1e-320)])
+            shift, external = 7.0, (one_hot(train.labels, 2), near_one_hot)
+            why = "no one factor is 0 for every candidate; where none is 0, their product underflowed"
+        shifted = CandidatePool(FeatureMatrix(pool.features.values + shift), pool.proposed_labels, (), 2)
+        report = run_selection(train, shifted, tiny_config(), external_proba=external)
+        assert report.m_hat == 0 and report.lambda_ is None
+        assert report.warnings == [f"no candidate had positive importance ({why}); nothing to select"]
+        support = np.array([s.support for s in report.scores])
+        entropy = np.array([s.entropy for s in report.scores])
+        assert (support.max() == 0) == (case == "support") and entropy.max() > 0
 
     def test_widest_feature_space_with_a_finite_ball_volume_runs(self):
         # d=341 is the last width whose unit-ball volume is a finite float
