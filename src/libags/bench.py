@@ -1,11 +1,17 @@
 """Desk-scale benchmark harness on the gapped two-moons task.
 
 One seed, one shared world: ``moons_world`` generates the data, the
-random-feature encoder, the scoring model, and the test set once per
-seed, every method reuses them, and the two-moons demo draws its seed's
-world from the same function. The adaptive selector runs first so its
-learned count can be handed to each fixed-count baseline, which keeps
-the comparison about *which* candidates were chosen rather than how many.
+random-feature encoder, the scoring model, the selection and the test
+set once per seed, and the two-moons demo draws its seed's world from
+the same function. The adaptive selector runs first so its learned
+count can be handed to each fixed-count baseline, which keeps the
+comparison about *which* candidates were chosen rather than how many.
+
+The encoded pool and the encoded test split are the seed's largest
+arrays, so each lives only while a stage reads it. The world keeps
+neither: ``run_bench`` encodes the pool once to build every method's
+extra rows and drops it before the first fit, then encodes the test
+split once after the last fit to evaluate every model.
 
 Scoring happens on encoded features while the selector's geometry runs
 in the raw 2-D input space (probabilities injected via the pipeline's
@@ -90,36 +96,82 @@ def _evaluate(model: LogisticModel, test_encoded: FeatureMatrix, test_labels) ->
 
 @dataclass(frozen=True)
 class MoonsWorld:
-    """One seed's two-moons task, encoded, scored and selected once."""
+    """One seed's two-moons task, scored and selected once.
+
+    Only the training split is held encoded; ``encoded_pool`` encodes the
+    pool afresh, with the same bits every call, for whoever reads it.
+    """
 
     train: LabeledDataset
     test: LabeledDataset
     pool: CandidatePool
     encoder: RffEncoder
     z_train: LabeledDataset  # train with RFF-encoded features
-    z_pool: FeatureMatrix
     erm: LogisticModel  # the scoring model: the plain fit on real data
     proba_pool: np.ndarray
     report: SelectionReport
 
+    def encoded_pool(self) -> FeatureMatrix:
+        return rff_encode(self.encoder, self.pool.features)
+
     def libags_model(self, config: PipelineConfig) -> LogisticModel:
         """The final classifier: real data plus the selection under its soft labels."""
-        return fit_with_extra(self.z_train, self.z_pool.values[self.report.selected], self.report.soft_labels, config)
+        return fit_with_extra(self.z_train, self.encoded_pool().values[self.report.selected], self.report.soft_labels, config)
 
 
 def moons_world(seed: int, config: PipelineConfig, n_per_class: int = DEFAULT_N_PER_CLASS,
                 noise_sd: float = DEFAULT_NOISE_SD, gap_halfwidth: float = DEFAULT_GAP_HALFWIDTH) -> MoonsWorld:
-    """The world every method of one bench seed shares; the test split stays unencoded."""
+    """The world every method of one bench seed shares; the pool is encoded only to score it."""
     train, test, pool = make_two_moons(n_per_class, noise_sd, gap_halfwidth, seed)
     encoder = RffEncoder.create(2, config.rff_dim, config.rff_bandwidth, seed + _ENCODER_SEED_OFFSET)
     z_train = LabeledDataset(rff_encode(encoder, train.features), train.labels, 2)
-    z_pool = rff_encode(encoder, pool.features)
     erm = fit_with_extra(z_train, [], [], config)
-    proba_pool = predict_proba(erm, z_pool)
+    proba_pool = predict_proba(erm, rff_encode(encoder, pool.features))
     # Geometry in raw input space, scoring signal from the encoded model.
     external = (predict_proba(erm, z_train.features), proba_pool)
     report = run_selection(train, pool, config.replace(seed=seed), external_proba=external)
-    return MoonsWorld(train, test, pool, encoder, z_train, z_pool, erm, proba_pool, report)
+    return MoonsWorld(train, test, pool, encoder, z_train, erm, proba_pool, report)
+
+
+def _extra_rows(name: str, world: MoonsWorld, z_pool: FeatureMatrix, rng) -> tuple:
+    """The encoded rows and target distributions a method other than erm adds to the real data."""
+    train, pool, m_hat = world.train, world.pool, world.report.m_hat
+    if name == "libags":
+        return z_pool.values[world.report.selected], world.report.soft_labels
+    if name == "random":
+        chosen = rng.choice(pool.n_rows, size=m_hat, replace=False) if m_hat else np.empty(0, dtype=int)
+        return z_pool.values[chosen], one_hot(pool.proposed_labels[chosen], 2)
+    if name == "noise":
+        rows = rng.integers(0, train.n_rows, size=m_hat)
+        scale = float(train.features.values.std(axis=0).mean())
+        jitter = rng.normal(0.0, 0.1 * scale, size=(m_hat, 2))
+        noisy = FeatureMatrix._adopt(train.features.values[rows] + jitter) if m_hat else None
+        extra = rff_encode(world.encoder, noisy).values if m_hat else []
+        return extra, one_hot(train.labels[rows], 2)
+    # uncertainty_only
+    top = np.argsort(-entropy_rows(world.proba_pool), kind="stable")[:m_hat]
+    return z_pool.values[top], one_hot(pool.proposed_labels[top], 2)
+
+
+def _bench_seed(seed: int, methods, config: PipelineConfig, n_per_class: int, noise_sd: float, gap_halfwidth: float) -> tuple:
+    """One seed's ``m_hat`` and each method's (accuracy, auroc).
+
+    The seed's arrays die when this returns, before the next seed's world
+    is built.
+    """
+    world = moons_world(seed, config, n_per_class, noise_sd, gap_halfwidth)
+    # One encoding of the pool gives every method its extra rows and is
+    # dropped before the first fit. Each (seed, method) pair draws from its
+    # own stream, so a method's draws do not depend on which other methods
+    # were requested.
+    z_pool = world.encoded_pool()
+    extras = {name: _extra_rows(name, world, z_pool, np.random.default_rng(seed + _BASELINE_SEED_OFFSET + METHODS.index(name)))
+              for name in methods if name != "erm"}
+    del z_pool
+    models = {name: world.erm if name == "erm" else fit_with_extra(world.z_train, *extras.pop(name), config) for name in methods}
+    # The test split is encoded once every model is fit.
+    z_test = rff_encode(world.encoder, world.test.features)
+    return world.report.m_hat, {name: _evaluate(models[name], z_test, world.test.labels) for name in methods}
 
 
 def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT_N_PER_CLASS,
@@ -138,33 +190,8 @@ def run_bench(methods, seeds, config: PipelineConfig, n_per_class: int = DEFAULT
     results = {name: BenchResult(name, [], [], []) for name in methods}
 
     for seed in seeds:
-        world = moons_world(seed, config, n_per_class, noise_sd, gap_halfwidth)
-        train, pool, z_pool = world.train, world.pool, world.z_pool
-        z_test = rff_encode(world.encoder, world.test.features)
-        m_hat = world.report.m_hat
-
-        for name in methods:
-            # Per-(seed, method) stream so a method's draws do not depend
-            # on which other methods were requested.
-            rng = np.random.default_rng(seed + _BASELINE_SEED_OFFSET + METHODS.index(name))
-            if name == "erm":
-                model = world.erm
-            elif name == "libags":
-                model = world.libags_model(config)
-            elif name == "random":
-                chosen = rng.choice(pool.n_rows, size=m_hat, replace=False) if m_hat else np.empty(0, dtype=int)
-                model = fit_with_extra(world.z_train, z_pool.values[chosen], one_hot(pool.proposed_labels[chosen], 2), config)
-            elif name == "noise":
-                rows = rng.integers(0, train.n_rows, size=m_hat)
-                scale = float(train.features.values.std(axis=0).mean())
-                jitter = rng.normal(0.0, 0.1 * scale, size=(m_hat, 2))
-                noisy = FeatureMatrix._adopt(train.features.values[rows] + jitter) if m_hat else None
-                extra = rff_encode(world.encoder, noisy).values if m_hat else []
-                model = fit_with_extra(world.z_train, extra, one_hot(train.labels[rows], 2), config)
-            else:  # uncertainty_only
-                top = np.argsort(-entropy_rows(world.proba_pool), kind="stable")[:m_hat]
-                model = fit_with_extra(world.z_train, z_pool.values[top], one_hot(pool.proposed_labels[top], 2), config)
-            accuracy, roc = _evaluate(model, z_test, world.test.labels)
+        m_hat, scores = _bench_seed(seed, methods, config, n_per_class, noise_sd, gap_halfwidth)
+        for name, (accuracy, roc) in scores.items():
             results[name].accuracies.append(accuracy)
             results[name].aurocs.append(roc)
             results[name].m_hats.append(m_hat if name != "erm" else 0)

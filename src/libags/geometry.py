@@ -396,9 +396,8 @@ def pool_kernel(features: FeatureMatrix, columns, bandwidth=None, k: int = 10) -
     rows = max(1, _BLOCK // u)
     for start in range(0, M, rows):
         block = S[start:start + rows]
-        np.negative(block, out=block)
         with np.errstate(over="ignore"):  # a subnormal scale: exp(-inf) = 0 is the limit
-            block /= scale
+            np.divide(block, -scale, out=block)
         np.exp(block, out=block)
     S[columns, np.arange(u)] = 1.0
     return S

@@ -71,10 +71,14 @@ def rff_encode(encoder: RffEncoder, x: FeatureMatrix) -> FeatureMatrix:
     half = phases.shape[1]
     scale = np.sqrt(2.0 / encoder.output_dim)
     out = np.empty((phases.shape[0], 2 * half))
-    # cos and sin run on contiguous arrays, as numpy's strided loops may
-    # round differently; only the exactly rounded products fill the halves.
-    np.multiply(scale, np.cos(phases), out=out[:, :half])
+    # cos and sin run in place on the contiguous phases, as numpy's strided
+    # loops may round differently; only the exactly rounded products fill
+    # the halves. Recomputing the phases for sin, the same product into the
+    # same buffer, keeps the peak at 1.5 times the result instead of 2.
+    np.multiply(scale, np.cos(phases, out=phases), out=out[:, :half])
+    np.matmul(x.values, encoder.projection, out=phases)
     np.multiply(scale, np.sin(phases, out=phases), out=out[:, half:])
+    del phases  # before _adopt's finiteness check adds its boolean temporary
     return FeatureMatrix._adopt(out)
 
 

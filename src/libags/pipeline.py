@@ -262,9 +262,10 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
 
     ``external_proba`` is an optional ``(real_proba, candidate_proba)``
     pair from any scoring model; without it a softmax classifier is fit
-    on the real data. When no candidate has positive importance the
-    report comes back with ``m_hat == 0`` and a warning naming the cause
-    instead of an error.
+    on the real data. When no candidate has positive importance, or
+    every importance is so far below the smallest normal float that
+    lambda underflows to 0, the report comes back with ``m_hat == 0`` and
+    a warning naming the cause instead of an error.
     """
     if real.features.n_cols != candidates.features.n_cols:
         raise ValidationError(
@@ -341,6 +342,14 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
             else:
                 why = "no one factor is 0 for every candidate; where none is 0, their product underflowed"
             warnings.append(f"no candidate had positive importance ({why}); nothing to select")
+        if lambda_ == 0.0 and r.max() < tiny:
+            # Subnormal importances, not the feature scale, drove lambda to 0.
+            gap_scores = np.zeros(n_cand)
+            lambda_ = None
+            warnings.append(
+                f"no candidate had importance above the smallest normal float {tiny:g} (the largest is {r.max():g}), "
+                f"so lambda underflowed to 0; nothing to select"
+            )
         if lambda_ is not None and not (math.isfinite(lambda_) and lambda_ > 0):
             raise ValidationError(
                 f"allocation failed: lambda is {lambda_!r}, not a positive finite number; the kNN density reaches "

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from libags.bench import BenchResult, auroc, export_boundary_grid, run_bench, write_bench_csv
-from libags.data import FeatureMatrix
+import libags.bench as bench_module
+from libags.bench import METHODS, BenchResult, auroc, export_boundary_grid, run_bench, write_bench_csv
+from libags.data import FeatureMatrix, make_two_moons
 from libags.errors import ValidationError
 from libags.model import LogisticModel, RffEncoder, predict_proba, rff_encode
 from libags.pipeline import PipelineConfig
@@ -100,6 +103,36 @@ class TestRunBench:
 
         train, _, _ = make_two_moons(40, 0.3, 0.55, 0)
         assert sizes == [train.n_rows] + [train.n_rows + m_hat] * 4
+
+    def test_no_encoded_pool_or_test_split_is_alive_while_a_method_fits(self, monkeypatch):
+        # The encoded pool is dropped before the first fit and the test split
+        # is encoded after the last, so no block of either size is traced
+        # when a fit starts: not the world's scoring fit, nor any method's.
+        rff_dim, seeds = 32, [0, 1]
+        encoded_sizes, train_rows = set(), []
+        for seed in seeds:
+            train, test, pool = make_two_moons(40, 0.3, 0.55, seed)
+            encoded_sizes |= {pool.n_rows * rff_dim * 8, test.n_rows * rff_dim * 8}
+            train_rows.append(train.n_rows)
+        traced_at_entry = []
+        original = bench_module.fit_with_extra
+
+        def recording_fit(*args, **kwargs):
+            traced_at_entry.append({trace.size for trace in tracemalloc.take_snapshot().traces})
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bench_module, "fit_with_extra", recording_fit)
+        tracemalloc.start()
+        try:
+            results = run_bench(METHODS, seeds, PipelineConfig(epochs=50, rff_dim=rff_dim), n_per_class=40)
+        finally:
+            tracemalloc.stop()
+        assert len(traced_at_entry) == len(seeds) * len(METHODS)
+        # the encoded train split and the extra rows stay alive by design;
+        # neither may pass for a pool or test encoding
+        assert all(rows * rff_dim * 8 not in encoded_sizes for rows in train_rows + results[-1].m_hats)
+        for sizes in traced_at_entry:
+            assert not sizes & encoded_sizes
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):

@@ -355,6 +355,12 @@ class TestDemoCommand:
         for name in ("erm_grid.csv", "libags_grid.csv", "selected.csv", "report.json"):
             assert (out_dir / name).exists()
 
+    def test_reproducible_demo_writes_identical_bytes(self, tmp_path):
+        for run in ("one", "two"):
+            assert main(["demo-two-moons", "--seed", "0", "--out", str(tmp_path / run), "--reproducible"]) == 0
+        for name in ("erm_grid.csv", "libags_grid.csv", "selected.csv", "report.json"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
+
     def test_selected_rows_are_pool_rows(self, fast_config, tmp_path):
         out_dir = tmp_path / "demo"
         assert main(["demo-two-moons", "--seed", "2", "--out", str(out_dir), "--config", str(fast_config), "--resolution", "6"]) == 0

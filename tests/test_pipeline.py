@@ -117,6 +117,33 @@ class TestRunSelection:
         entropy = np.array([s.entropy for s in report.scores])
         assert (support.max() == 0) == (case == "support") and entropy.max() > 0
 
+    @pytest.mark.parametrize("shift", [22.35, 22.45, 22.55])
+    def test_subnormal_importances_that_zero_lambda_give_the_no_importance_report(self, shift):
+        # Candidates at the edge of the real data's support: every importance
+        # is subnormal. At +22.35 lambda is still a positive float and the run
+        # selects, at +22.45 lambda underflows to 0, and at +22.55 every
+        # importance is 0.
+        train, _, pool = make_two_moons(40, 0.3, 0.55, 0)
+        shifted = CandidatePool(FeatureMatrix(pool.features.values + shift), pool.proposed_labels, (), 2)
+        report = run_selection(train, shifted, tiny_config())
+        largest = max(s.importance for s in report.scores)
+        tiny = float(np.finfo(np.float64).tiny)
+        assert largest < tiny
+        if shift == 22.35:
+            assert report.m_hat > 0 and 0 < report.lambda_ < tiny
+            return
+        assert report.m_hat == 0 and report.selected == [] and report.lambda_ is None
+        assert all(s.gap_score == 0 and s.value == 0 for s in report.scores)
+        if shift == 22.45:
+            assert largest > 0
+            assert report.warnings == [
+                f"no candidate had importance above the smallest normal float {tiny:g} (the largest is {largest:g}), "
+                "so lambda underflowed to 0; nothing to select"
+            ]
+        else:
+            why = "no one factor is 0 for every candidate; where none is 0, their product underflowed"
+            assert largest == 0 and report.warnings == [f"no candidate had positive importance ({why}); nothing to select"]
+
     def test_widest_feature_space_with_a_finite_ball_volume_runs(self):
         # d=341 is the last width whose unit-ball volume is a finite float
         rng = np.random.default_rng(4)
