@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons
+from .data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_csv
 from .errors import ValidationError
 from .model import LogisticModel, RffEncoder, one_hot, predict_proba, rff_encode
 from .pipeline import PipelineConfig, SelectionReport, fit_with_extra, run_selection
@@ -216,18 +216,12 @@ def export_boundary_grid(model: LogisticModel, encoder, bounds, resolution: int,
     points = FeatureMatrix._adopt(np.column_stack([gx.ravel(), gy.ravel()]))
     encoded = rff_encode(encoder, points) if encoder is not None else points
     proba = predict_proba(model, encoded)
-    with open(path, "w", newline="") as fh:
-        fh.write("x1,x2,p_class1\n")
-        for (x1, x2), p in zip(points.values, proba[:, 1]):
-            fh.write(f"{x1:.17g},{x2:.17g},{p:.17g}\n")
+    write_csv(path, ["x1", "x2", "p_class1"], np.column_stack([points.values, proba[:, 1]]).tolist())
 
 
 def write_bench_csv(path, results) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("method,seed_index,accuracy,auroc,m_hat\n")
-        for result in results:
-            for i, (acc, roc, m) in enumerate(zip(result.accuracies, result.aurocs, result.m_hats)):
-                fh.write(f"{result.method},{i},{acc:.17g},{roc:.17g},{m}\n")
+    rows = ([result.method, i, *cells] for result in results for i, cells in enumerate(zip(result.accuracies, result.aurocs, result.m_hats)))
+    write_csv(path, ["method", "seed_index", "accuracy", "auroc", "m_hat"], rows)
 
 
 def format_bench_summary(results) -> str:

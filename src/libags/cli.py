@@ -9,14 +9,13 @@ the one optional nondeterministic field and --reproducible drops them.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 
 import numpy as np
 
 from .bench import DEFAULT_GAP_HALFWIDTH, DEFAULT_N_PER_CLASS, DEFAULT_NOISE_SD, METHODS, export_boundary_grid, format_bench_summary, moons_world, run_bench, write_bench_csv
-from .data import CandidatePool, FeatureMatrix, load_candidate_csv, load_labeled_csv, load_probability_csv, write_candidate_csv
+from .data import load_candidate_csv, load_labeled_csv, load_probability_csv, write_csv
 from .errors import LibagsError, ValidationError
 from .pipeline import PipelineConfig, run_selection
 from .score import ScoreRecord
@@ -56,7 +55,7 @@ def _load_inputs(args):
 def _cmd_select(args) -> int:
     config, real, pool, external = _load_inputs(args)
     report = run_selection(real, pool, config, external_proba=external)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json(include_timings=not args.reproducible))
     lam = "none" if report.lambda_ is None else f"{report.lambda_:.6g}"
     print(f"selected m_hat={report.m_hat} eta={report.eta:.6g} lambda={lam} -> {args.out}")
@@ -66,11 +65,9 @@ def _cmd_select(args) -> int:
 def _cmd_score(args) -> int:
     config, real, pool, external = _load_inputs(args)
     report = run_selection(real, pool, config, external_proba=external)
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["index", "source_id", *ScoreRecord.FIELDS])
-        for i, record in enumerate(report.scores):
-            writer.writerow([i, pool.source_ids[i], *(f"{getattr(record, name):.17g}" for name in ScoreRecord.FIELDS)])
+    records = zip(pool.source_ids, report.scores)
+    rows = ([i, source_id, *(getattr(record, name) for name in ScoreRecord.FIELDS)] for i, (source_id, record) in enumerate(records))
+    write_csv(args.out, ["index", "source_id", *ScoreRecord.FIELDS], rows)
     print(f"scored {pool.n_rows} candidates -> {args.out}")
     return 0
 
@@ -92,7 +89,7 @@ def _cmd_bench(args) -> int:
     summary_path = os.path.join(args.out, "summary.txt")
     write_bench_csv(csv_path, results)
     summary = format_bench_summary(results)
-    with open(summary_path, "w") as fh:
+    with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(summary)
     print(summary, end="")
     print(f"wrote {csv_path} and {summary_path}")
@@ -100,6 +97,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    if args.resolution < 2:
+        raise ValidationError(f"resolution must be at least 2, got {args.resolution}")
     config = _load_config(args.config, args.seed)
     world = moons_world(config.seed, config)
     train, test, pool, report = world.train, world.test, world.pool, world.report
@@ -111,19 +110,9 @@ def _cmd_demo(args) -> int:
     bounds = (pts[:, 0].min() - margin, pts[:, 0].max() + margin, pts[:, 1].min() - margin, pts[:, 1].max() + margin)
     export_boundary_grid(world.erm, world.encoder, bounds, args.resolution, os.path.join(args.out, "erm_grid.csv"))
     export_boundary_grid(final, world.encoder, bounds, args.resolution, os.path.join(args.out, "libags_grid.csv"))
-    selected_path = os.path.join(args.out, "selected.csv")
-    if report.selected:
-        selected_pool = CandidatePool(
-            FeatureMatrix._adopt(pool.features.values[report.selected]),
-            pool.proposed_labels[report.selected],
-            tuple(pool.source_ids[j] for j in report.selected),
-            2,
-        )
-        write_candidate_csv(selected_path, selected_pool)
-    else:
-        with open(selected_path, "w", newline="") as fh:
-            fh.write("feature_0,feature_1,proposed_label,source_id\n")
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
+    selected = ([*pool.features.values[j].tolist(), int(pool.proposed_labels[j]), pool.source_ids[j]] for j in report.selected)
+    write_csv(os.path.join(args.out, "selected.csv"), ["feature_0", "feature_1", "proposed_label", "source_id"], selected)
+    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json(include_timings=not args.reproducible))
     print(f"demo wrote erm_grid.csv, libags_grid.csv, selected.csv, report.json to {args.out} (m_hat={report.m_hat})")
     return 0

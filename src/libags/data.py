@@ -1,8 +1,10 @@
 """Datasets, candidate pools, CSV ingestion, and the two-moons task.
 
-All tabular I/O is CSV with a header row. Floats are written with 17
-significant digits so a write/load round trip reproduces the exact
-values. Every random draw comes from numpy's ``default_rng`` (PCG64),
+All tabular I/O is CSV with a header row. Every CSV the package writes
+goes through ``write_csv``: UTF-8, ``\\n`` line ends, and floats with 17
+significant digits, so a write/load round trip reproduces the exact
+values. The loaders read UTF-8 and accept ``\\n`` or ``\\r\\n`` line ends.
+Every random draw comes from numpy's ``default_rng`` (PCG64),
 so a fixed seed reproduces outputs bit for bit.
 """
 
@@ -202,28 +204,25 @@ def load_probability_csv(path) -> np.ndarray:
     return _parse_rows(path, header, rows, len(header))[0]
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV with ``\\n`` line ends; float cells (Python or numpy) keep 17 significant digits."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([format(cell, ".17g") if isinstance(cell, (float, np.floating)) else cell for cell in row] for row in rows)
 
 
 def write_labeled_csv(path, dataset: LabeledDataset) -> None:
-    """Mirror of load_labeled_csv; floats keep 17 significant digits."""
-    d = dataset.features.n_cols
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{j}" for j in range(d)] + ["label"])
-        for row, label in zip(dataset.features.values, dataset.labels):
-            writer.writerow([_fmt(v) for v in row] + [str(int(label))])
+    """Mirror of load_labeled_csv."""
+    header = [f"feature_{j}" for j in range(dataset.features.n_cols)] + ["label"]
+    write_csv(path, header, ([*row, label] for row, label in zip(dataset.features.values.tolist(), dataset.labels.tolist())))
 
 
 def write_candidate_csv(path, pool: CandidatePool) -> None:
     """Mirror of load_candidate_csv."""
-    d = pool.features.n_cols
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{j}" for j in range(d)] + ["proposed_label", "source_id"])
-        for row, label, sid in zip(pool.features.values, pool.proposed_labels, pool.source_ids):
-            writer.writerow([_fmt(v) for v in row] + [str(int(label)), sid])
+    header = [f"feature_{j}" for j in range(pool.features.n_cols)] + ["proposed_label", "source_id"]
+    rows = zip(pool.features.values.tolist(), pool.proposed_labels.tolist(), pool.source_ids)
+    write_csv(path, header, ([*row, label, sid] for row, label, sid in rows))
 
 
 def _moon_points(angles, labels):

@@ -9,7 +9,7 @@ allocation stage converts into a gap score.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -31,7 +31,9 @@ class ScoreRecord:
     gap_score: float
     value: float
 
-    FIELDS = ("margin", "boundary_weight", "entropy", "density", "support", "importance", "gap_score", "value")
+
+# The field names in declaration order: the ``score`` CSV's columns.
+ScoreRecord.FIELDS = tuple(f.name for f in fields(ScoreRecord))
 
 
 def top_two_margin_rows(pi_matrix) -> np.ndarray:

@@ -154,6 +154,11 @@ class TestRunBench:
         assert lines[0] == "method,seed_index,accuracy,auroc,m_hat"
         assert len(lines) == 3
 
+    def test_csv_export_is_utf8(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_bench_csv(path, [BenchResult("café", [0.5], [0.75], [4])])
+        assert path.read_text(encoding="utf-8") == "method,seed_index,accuracy,auroc,m_hat\ncafé,0,0.5,0.75,4\n"
+
 
 class TestExportBoundaryGrid:
     def test_grid_row_count(self, tmp_path):

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import libags.cli as cli_module
 from libags.cli import build_parser, main
 from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
 
@@ -289,6 +291,21 @@ class TestScoreCommand:
         assert all(len(row) == len(header) for row in body)
         assert tuple(row[header.index("source_id")] for row in body) == ids
 
+    def test_non_ascii_source_id_under_an_ascii_locale(self, fast_config, tmp_path):
+        # Under the C locale the default file encoding is ASCII; the CSV is written as UTF-8 anyway.
+        train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
+        pool = CandidatePool(pool.features, pool.proposed_labels, ("café",) + pool.source_ids[1:], 2)
+        real, cands, out = tmp_path / "real.csv", tmp_path / "cands.csv", tmp_path / "scores.csv"
+        write_labeled_csv(real, train)
+        write_candidate_csv(cands, pool)
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        proc = subprocess.run(
+            [sys.executable, "-m", "libags", "score", "--real", str(real), "--candidates", str(cands), "--out", str(out), "--config", str(fast_config)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "\n0,café," in out.read_text(encoding="utf-8")
+
 
 class TestBenchCommand:
     def test_small_bench_writes_outputs(self, fast_config, tmp_path):
@@ -369,6 +386,9 @@ class TestDemoCommand:
         pool_rows = {tuple(row) for row in np.round(pool.features.values, 10).tolist()}
         for row in np.round(selected.features.values, 10).tolist():
             assert tuple(row) in pool_rows
+        indices = json.loads((out_dir / "report.json").read_text())["selected"]
+        assert selected.source_ids == tuple(pool.source_ids[j] for j in indices)
+        assert b"\r" not in (out_dir / "selected.csv").read_bytes()
 
     def test_config_seed_applies_without_seed_flag(self, tmp_path):
         config = tmp_path / "config.json"
@@ -376,6 +396,25 @@ class TestDemoCommand:
         out_dir = tmp_path / "demo"
         assert main(["demo-two-moons", "--out", str(out_dir), "--config", str(config), "--resolution", "4", "--reproducible"]) == 0
         assert json.loads((out_dir / "report.json").read_text())["config"]["seed"] == 3
+
+    def test_empty_selection_writes_the_header_alone(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"max_budget": 0}))
+        out_dir = tmp_path / "demo"
+        assert main(["demo-two-moons", "--out", str(out_dir), "--config", str(config), "--resolution", "4", "--reproducible"]) == 0
+        assert json.loads((out_dir / "report.json").read_text())["selected"] == []
+        assert (out_dir / "selected.csv").read_bytes() == b"feature_0,feature_1,proposed_label,source_id\n"
+
+    @pytest.mark.parametrize("resolution", ["0", "1"])
+    def test_bad_resolution_exits_before_any_work(self, resolution, tmp_path, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli_module, "moons_world", lambda *args, **kwargs: calls.append(args))
+        out_dir = tmp_path / "demo"
+        assert main(["demo-two-moons", "--out", str(out_dir), "--resolution", resolution]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: resolution must be at least 2, got {resolution}\n"
+        assert not out_dir.exists()
+        assert calls == []
 
     def test_seed_changes_the_selection(self, fast_config, tmp_path):
         for seed in ("7", "8"):

@@ -12,6 +12,7 @@ from libags.data import (
     load_labeled_csv,
     make_two_moons,
     write_candidate_csv,
+    write_csv,
     write_labeled_csv,
 )
 from libags.errors import ParseError, SchemaError, ValidationError
@@ -121,6 +122,13 @@ class TestLabeledCsv:
         np.testing.assert_allclose(back.features.values, ds.features.values, atol=1e-12, rtol=0)
         assert back.labels.tolist() == ds.labels.tolist()
 
+    def test_loaders_accept_crlf(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(b"a,b,label\r\n1.5,2,0\r\n3,4.25,1\r\n")
+        ds = load_labeled_csv(path, 2)
+        assert ds.features.values.tolist() == [[1.5, 2.0], [3.0, 4.25]]
+        assert ds.labels.tolist() == [0, 1]
+
 
 class TestCandidateCsv:
     def test_five_row_parse(self, tmp_path):
@@ -150,6 +158,23 @@ class TestCandidateCsv:
         back = load_candidate_csv(path, 2)
         assert back.source_ids == ("x", "y", "z")
         np.testing.assert_allclose(back.features.values, pool.features.values, atol=1e-12, rtol=0)
+
+    def test_non_ascii_source_id_round_trip(self, tmp_path):
+        # The file is UTF-8 whatever the locale's encoding.
+        pool = CandidatePool(FeatureMatrix(np.eye(2)), np.array([0, 1]), ("café", "日本"), 2)
+        path = tmp_path / "c.csv"
+        write_candidate_csv(path, pool)
+        assert load_candidate_csv(path, 2).source_ids == ("café", "日本")
+        assert "café" in path.read_text(encoding="utf-8")
+
+
+class TestWriteCsv:
+    def test_floats_keep_17_digits_and_lines_end_in_lf(self, tmp_path):
+        path = tmp_path / "w.csv"
+        write_csv(path, ["a", "b", "c", "d", "e"], [[0.1, np.float64(1 / 3), np.float32(0.1), 7, "x,y"], [1e300, -0.0, 2.0, np.int64(3), "é"]])
+        assert path.read_bytes() == (
+            'a,b,c,d,e\n0.10000000000000001,0.33333333333333331,0.10000000149011612,7,"x,y"\n1.0000000000000001e+300,-0,2,3,é\n'
+        ).encode("utf-8")
 
 
 class TestMakeTwoMoons:
