@@ -9,6 +9,7 @@ the one optional nondeterministic field and --reproducible drops them.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -17,8 +18,7 @@ import numpy as np
 from .bench import DEFAULT_GAP_HALFWIDTH, DEFAULT_N_PER_CLASS, DEFAULT_NOISE_SD, METHODS, export_boundary_grid, format_bench_summary, moons_world, run_bench, write_bench_csv
 from .data import load_candidate_csv, load_labeled_csv, load_probability_csv, write_csv
 from .errors import LibagsError, ValidationError
-from .pipeline import PipelineConfig, run_selection
-from .score import ScoreRecord
+from .pipeline import PipelineConfig, run_selection, score_pool
 
 
 class UsageError(ValidationError):
@@ -39,8 +39,26 @@ def _load_config(path, seed=None) -> PipelineConfig:
     return config
 
 
+def _check_out(path, directory: bool) -> None:
+    """Raise, before any work and creating nothing, the OSError that writing the output ``path`` would raise.
+
+    A file (``select``, ``score``) must not be a directory, and its parent
+    must be one. A directory (``bench``, the demo) is created after the
+    run, so it, or else its nearest existing ancestor, must be a directory.
+    """
+    nearest = path if directory else os.path.dirname(path) or os.curdir
+    while directory and not os.path.exists(nearest):
+        nearest = os.path.dirname(nearest) or os.curdir
+    if not directory and os.path.isdir(path):
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(nearest):
+        code = errno.EEXIST if nearest == path else errno.ENOTDIR if os.path.exists(nearest) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
 def _load_inputs(args):
-    """Config, real data, candidate pool and optional external probabilities of select and score."""
+    """Check --out, then load the config, real data, candidate pool and optional external probabilities of select and score."""
+    _check_out(args.out, directory=False)
     config = _load_config(args.config, args.seed)
     real = load_labeled_csv(args.real, args.n_classes)
     pool = load_candidate_csv(args.candidates, args.n_classes)
@@ -64,15 +82,15 @@ def _cmd_select(args) -> int:
 
 def _cmd_score(args) -> int:
     config, real, pool, external = _load_inputs(args)
-    report = run_selection(real, pool, config, external_proba=external)
-    records = zip(pool.source_ids, report.scores)
-    rows = ([i, source_id, *(getattr(record, name) for name in ScoreRecord.FIELDS)] for i, (source_id, record) in enumerate(records))
-    write_csv(args.out, ["index", "source_id", *ScoreRecord.FIELDS], rows)
+    scores = score_pool(real, pool, config, external_proba=external).scores
+    rows = zip(pool.source_ids, *(column.tolist() for column in scores.values()))
+    write_csv(args.out, ["index", "source_id", *scores], ([i, *row] for i, row in enumerate(rows)))
     print(f"scored {pool.n_rows} candidates -> {args.out}")
     return 0
 
 
 def _cmd_bench(args) -> int:
+    _check_out(args.out, directory=True)
     config = _load_config(args.config)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
@@ -99,6 +117,7 @@ def _cmd_bench(args) -> int:
 def _cmd_demo(args) -> int:
     if args.resolution < 2:
         raise ValidationError(f"resolution must be at least 2, got {args.resolution}")
+    _check_out(args.out, directory=True)
     config = _load_config(args.config, args.seed)
     world = moons_world(config.seed, config)
     train, test, pool, report = world.train, world.test, world.pool, world.report

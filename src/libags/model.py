@@ -86,7 +86,6 @@ def rff_encode(encoder: RffEncoder, x: FeatureMatrix) -> FeatureMatrix:
 class LogisticModel:
     weights: np.ndarray  # (n_classes, d_feat)
     bias: np.ndarray  # (n_classes,)
-    l2: float
     loss_curve: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
@@ -249,5 +248,5 @@ def fit_logistic_soft(features: FeatureMatrix, targets, l2: float, epochs: int, 
             losses.append(loss)
             W -= np.multiply(lr, grad_w, out=grad_w)
             b -= np.multiply(lr, grad_b, out=grad_b)
-    return LogisticModel(W, b, float(l2), tuple(losses))
+    return LogisticModel(W, b, tuple(losses))
 

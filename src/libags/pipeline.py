@@ -1,32 +1,28 @@
 """End-to-end selection pipeline and its configuration.
 
-``run_selection`` wires the stages together: score candidates under a
-model trained on real data only (or accept externally computed
-probabilities), estimate real-data coverage, solve the allocation, run
-the diversity-aware greedy selector, which reads its stopping threshold
-off its own marginal-gain curve, and soft-label what it picked.
+``run_selection`` runs two halves in turn. ``score_pool`` scores the
+candidates under a model trained on real data only (or takes externally
+computed probabilities), estimates the real-data coverage and solves
+the allocation, which fixes each candidate's value; ``libags score``
+runs only this half. ``select_scored`` runs the diversity-aware greedy
+selector, which reads its stopping threshold off its own marginal-gain
+curve, and soft-labels what it picked.
 
-Two threads share the work, in two worker tasks. The worker runs the
-kNN stage (``geometry``: the candidates' kNN density and support
-validity). Meanwhile the calling thread fits the scoring model
-(``scoring_model``), reads the kNN results, scores the candidates and
-solves the allocation, which gives each candidate's value. It then
-queues the kernel stage (``similarity``) on the worker: one streaming
-pass over the pool (``pool_kernel``) that reads the ``median-knn``
-bandwidth and keeps the similarities to the u candidates with nonzero
-value, the only columns the greedy reads. The kernel stage holds O(M u)
-memory, the (M, u) result and one product block, and runs nothing when
-u = 0. The calling thread goes on to build the k-means regions
-(``regions``); the greedy and the soft labels start once both sides are
-done. The greedy is the columns' last reader, so they are dropped
-before the soft labels are built. A failed kNN stage or a failed allocation raises before the
-kernel stage is queued, so no pool distance is computed. The worker
-spends most of its time in matrix products and in elementwise passes
-that release the interpreter lock. The two sides
-share no writable array, and every matrix product in either runs on
-one BLAS thread, so the report's bytes do not depend on how the threads
-interleave. ``stage_seconds`` times each stage on its own thread, so its
-entries overlap and may add up to more than the wall time.
+Each half has one worker task beside its calling thread. In the first,
+the worker runs the kNN stage (``geometry``: kNN density and support
+validity) while the caller fits the scoring model (``scoring_model``);
+a failed kNN stage or allocation raises there, before any pool distance
+is computed. In the second, the worker runs the kernel stage
+(``similarity``): ``pool_kernel``'s one streaming pass, which keeps the
+columns of the u candidates with nonzero value, the only ones the greedy
+reads, and computes nothing when u = 0. Meanwhile the caller builds the
+k-means regions (``regions``). The greedy and the soft labels start once
+both sides are done; the greedy is the columns' last reader, so they are
+dropped before the soft labels are built. The two sides share no
+writable array, and every matrix product runs on one BLAS thread, so
+the report's bytes do not depend on how the threads interleave.
+``stage_seconds`` times each stage on its own thread, so its entries
+overlap and may add up to more than the wall time.
 
 Features handed to the pipeline are treated as the representation
 space: encode first (e.g. with RffEncoder) if raw inputs need a map.
@@ -221,7 +217,7 @@ def _auto_regions(n_candidates: int) -> int:
 
 
 def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig) -> tuple:
-    """Each candidate's kNN density and support validity, the report's kNN warnings, and the seconds they took."""
+    """Each candidate's kNN density and support validity, the density's peak, the report's kNN warnings, and the seconds they took."""
     t0 = time.perf_counter()
     k = min(config.knn_k, real.n_rows - 1)
     calibration = knn_distances(real.features, real.features, k, exclude_self=True)[:, k - 1]
@@ -242,7 +238,7 @@ def _knn_stage(real: LabeledDataset, candidates: CandidatePool, config: Pipeline
             f"duplicated), so the kNN density falls back to radius 1 and reads {peak_density:g} for every candidate"
         )
     support = support_validity(cand_dists, calibration)
-    return density, support, warnings, time.perf_counter() - t0
+    return density, support, peak_density, warnings, time.perf_counter() - t0
 
 
 def _kernel_stage(features: FeatureMatrix, config: PipelineConfig, columns) -> tuple:
@@ -257,8 +253,23 @@ def _kernel_stage(features: FeatureMatrix, config: PipelineConfig, columns) -> t
     return sim, time.perf_counter() - t0
 
 
+@dataclass
+class ScoredPool:
+    """``score_pool``'s result: a scored and allocated pool, which ``select_scored`` reads and leaves as it is."""
+
+    real: LabeledDataset
+    candidates: CandidatePool
+    config: PipelineConfig
+    proba: np.ndarray  # the candidates' class probabilities
+    scores: dict  # each ScoreRecord field name, in declaration order -> its per-candidate array
+    tau: float
+    lambda_: object  # float, or None when nothing had positive importance
+    warnings: list
+    stage_seconds: dict  # every STAGES key; the selection half's stages read 0
+
+
 def run_selection(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig, external_proba=None) -> SelectionReport:
-    """Score, allocate, select, and soft-label a candidate pool.
+    """Score, allocate, select, and soft-label a candidate pool: ``select_scored(score_pool(...))``.
 
     ``external_proba`` is an optional ``(real_proba, candidate_proba)``
     pair from any scoring model; without it a softmax classifier is fit
@@ -267,6 +278,11 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     lambda underflows to 0, the report comes back with ``m_hat == 0`` and
     a warning naming the cause instead of an error.
     """
+    return select_scored(score_pool(real, candidates, config, external_proba))
+
+
+def score_pool(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig, external_proba=None) -> ScoredPool:
+    """Check the inputs, score every candidate and solve the allocation; ``run_selection``'s first half."""
     if real.features.n_cols != candidates.features.n_cols:
         raise ValidationError(
             f"real features have {real.features.n_cols} columns, candidates have {candidates.features.n_cols}"
@@ -296,9 +312,7 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     timings = dict.fromkeys(STAGES, 0.0)
     clock = time.perf_counter
 
-    # The kNN and kernel stages run on the worker beside scoring, allocation
-    # and k-means (see the module docstring). The kernel stage is queued
-    # once the kNN stage is done, so their blocks are never held together.
+    # The kNN stage runs on the worker beside the scoring fit (see the module docstring).
     with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as executor:
         neighbors = executor.submit(_knn_stage, real, candidates, config)
 
@@ -308,9 +322,8 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
             cand_proba = predict_proba(scoring, candidates.features)
         timings["scoring_model"] = clock() - t0
 
-        density, support, knn_warnings, timings["geometry"] = neighbors.result()
+        density, support, peak_density, knn_warnings, timings["geometry"] = neighbors.result()
         warnings.extend(knn_warnings)
-        peak_density = float(density.max())
 
         t0 = clock()
         margins = top_two_margin_rows(cand_proba)
@@ -363,13 +376,28 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
             )
         values = gap_scores * support
         timings["allocation"] = clock() - t0
-        # A zero-valued candidate adds nothing to any facility gain, so the
-        # kernel computes only the valued columns (see greedy_select).
-        kernel = executor.submit(_kernel_stage, candidates.features, config, np.flatnonzero(values))
+
+    scores = dict(margin=margins, boundary_weight=weights, entropy=entropies, density=density,
+                  support=support, importance=r, gap_score=gap_scores, value=values)
+    return ScoredPool(real, candidates, config, cand_proba, scores, float(tau), lambda_, warnings, timings)
+
+
+def select_scored(scored: ScoredPool) -> SelectionReport:
+    """Build the regions and the kernel columns, run the greedy and soft-label its picks; ``run_selection``'s second half."""
+    real, candidates, config, scores = scored.real, scored.candidates, scored.config, scored.scores
+    n_cand = candidates.n_rows
+    warnings = list(scored.warnings)
+    timings = dict(scored.stage_seconds)
+    clock = time.perf_counter
+
+    # The worker computes the kernel's valued columns beside the k-means regions: a
+    # zero-valued candidate adds nothing to any facility gain (see greedy_select).
+    with _one_blas_thread(), ThreadPoolExecutor(max_workers=1) as executor:
+        kernel = executor.submit(_kernel_stage, candidates.features, config, np.flatnonzero(scores["value"]))
 
         t0 = clock()
         n_regions = _auto_regions(n_cand) if config.n_regions == "auto" else min(config.n_regions, n_cand)
-        regions = build_regions(real.features, candidates.features, r, n_regions, config.seed)
+        regions = build_regions(real.features, candidates.features, scores["importance"], n_regions, config.seed)
         timings["regions"] = clock() - t0
 
         sim, timings["similarity"] = kernel.result()
@@ -382,7 +410,7 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     # With no positive importance every gain is 0, so the pass accepts nothing.
     t0 = clock()
     budget = None if config.max_budget == "none" else config.max_budget
-    state = greedy_select(values, sim, regions, eta=None, max_budget=budget)
+    state = greedy_select(scores["value"], sim, regions, eta=None, max_budget=budget)
     del sim, kernel  # the (M, u) columns are not read again; the future held them too
     selected = state.selected
     if state.eta == 0.0 and selected:
@@ -393,25 +421,24 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
     timings["greedy"] = clock() - t0
 
     t0 = clock()
-    soft_labels = [soft_label(int(candidates.proposed_labels[j]), cand_proba[j], float(weights[j])).tolist() for j in selected]
+    weights = scores["boundary_weight"]
+    soft_labels = [soft_label(int(candidates.proposed_labels[j]), scored.proba[j], float(weights[j])).tolist() for j in selected]
     timings["soft_labels"] = clock() - t0
 
-    # Columns in ScoreRecord.FIELDS order.
-    columns = (margins, weights, entropies, density, support, r, gap_scores, values)
-    records = [ScoreRecord(*row) for row in zip(*(column.tolist() for column in columns))]
+    records = [ScoreRecord(*row) for row in zip(*(scores[name].tolist() for name in ScoreRecord.FIELDS))]
     return SelectionReport(
         format=REPORT_FORMAT,
         m_hat=len(selected),
         eta=state.eta,
-        lambda_=lambda_,
-        tau=float(tau),
+        lambda_=scored.lambda_,
+        tau=scored.tau,
         selected=selected,
         soft_labels=soft_labels,
         scores=records,
         gains_log=state.gains_log,
         config=config.as_dict(),
         warnings=warnings,
-        n_real=n_real,
+        n_real=real.n_rows,
         n_candidates=n_cand,
         stage_seconds=timings,
     )

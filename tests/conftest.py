@@ -27,6 +27,17 @@ def blobs():
     return make_blobs
 
 
+def criterion_10_inputs(M: int, seed: int = 0, n: int = 400, d: int = 64):
+    """The cost-profile criterion's pool: ``(real, pool, external_proba)``, n real and M candidate Gaussians in d dimensions.
+
+    Labels are coin flips and the probabilities Dirichlet draws, all independent of the features.
+    """
+    rng = np.random.default_rng(seed)
+    real = LabeledDataset(FeatureMatrix(rng.normal(size=(n, d))), rng.integers(0, 2, n), 2)
+    pool = CandidatePool(FeatureMatrix(rng.normal(size=(M, d))), rng.integers(0, 2, M), (), 2)
+    return real, pool, (rng.dirichlet(np.ones(2), n), rng.dirichlet(np.ones(2), M))
+
+
 def valued_columns(values, sim):
     """The (M, u) columns of the (M, M) similarity ``sim`` that ``greedy_select`` reads: those of the valued candidates."""
     return sim[:, np.flatnonzero(values)]

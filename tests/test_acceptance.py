@@ -15,13 +15,13 @@ import numpy as np
 
 from libags.alloc import solve_lambda
 from libags.bench import auroc, run_bench
-from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv
+from libags.data import FeatureMatrix, make_two_moons, write_candidate_csv, write_labeled_csv
 from libags.geometry import pool_kernel
 from libags.model import cross_entropy, one_hot
 from libags.pipeline import PipelineConfig, run_selection
 from libags.select import build_regions, greedy_select, marginal_gain
 
-from conftest import valued_columns
+from conftest import criterion_10_inputs, valued_columns
 from test_alloc import continuous_allocation_oracle
 from test_bench import brute_force_auroc
 from test_label import soft_label_bound_check
@@ -242,16 +242,12 @@ def test_criterion_9_auroc_oracle():
     assert _verdict("9 auroc pairwise oracle", ok, f"{mismatches} mismatching instances of 50")
 
 
-def _perf_run(M, seed=0, n=400, d=64):
-    rng = np.random.default_rng(seed)
-    real = LabeledDataset(FeatureMatrix(rng.normal(size=(n, d))), rng.integers(0, 2, n), 2)
-    pool = CandidatePool(FeatureMatrix(rng.normal(size=(M, d))), rng.integers(0, 2, M), (), 2)
-    proba_real = rng.dirichlet(np.ones(2), n)
-    proba_pool = rng.dirichlet(np.ones(2), M)
+def _perf_run(M):
+    real, pool, external = criterion_10_inputs(M)
     config = PipelineConfig(max_budget=300)
     # The wall time of the call: stage_seconds entries overlap across the two threads.
     t0 = time.perf_counter()
-    run_selection(real, pool, config, external_proba=(proba_real, proba_pool))
+    run_selection(real, pool, config, external_proba=external)
     return time.perf_counter() - t0
 
 

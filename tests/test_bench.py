@@ -162,14 +162,14 @@ class TestRunBench:
 
 class TestExportBoundaryGrid:
     def test_grid_row_count(self, tmp_path):
-        model = LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0)
+        model = LogisticModel(np.zeros((2, 2)), np.zeros(2))
         path = tmp_path / "grid.csv"
         export_boundary_grid(model, None, (0.0, 1.0, 0.0, 1.0), 2, path)
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 5  # header + 4 points
 
     def test_uniform_model_gives_half(self, tmp_path):
-        model = LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0)
+        model = LogisticModel(np.zeros((2, 2)), np.zeros(2))
         path = tmp_path / "grid.csv"
         export_boundary_grid(model, None, (-1.0, 1.0, -1.0, 1.0), 3, path)
         probs = [float(line.split(",")[2]) for line in path.read_text().strip().splitlines()[1:]]
@@ -178,7 +178,7 @@ class TestExportBoundaryGrid:
     def test_matches_predict_proba(self, tmp_path):
         rng = np.random.default_rng(2)
         encoder = RffEncoder.create(2, 16, 1.0, 0)
-        model = LogisticModel(rng.normal(size=(2, 16)), rng.normal(size=2), 0.0)
+        model = LogisticModel(rng.normal(size=(2, 16)), rng.normal(size=2))
         path = tmp_path / "grid.csv"
         export_boundary_grid(model, encoder, (0.0, 1.0, 0.0, 1.0), 3, path)
         rows = [line.split(",") for line in path.read_text().strip().splitlines()[1:]]
@@ -187,12 +187,12 @@ class TestExportBoundaryGrid:
         np.testing.assert_allclose([float(r[2]) for r in rows], expected, atol=1e-15)
 
     def test_resolution_must_be_at_least_two(self, tmp_path):
-        model = LogisticModel(np.zeros((2, 2)), np.zeros(2), 0.0)
+        model = LogisticModel(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(ValidationError):
             export_boundary_grid(model, None, (0, 1, 0, 1), 1, tmp_path / "g.csv")
 
     def test_model_must_have_two_classes(self, tmp_path):
-        model = LogisticModel(np.zeros((1, 2)), np.zeros(1), 0.0)
+        model = LogisticModel(np.zeros((1, 2)), np.zeros(1))
         with pytest.raises(ValidationError, match="at least 2 classes"):
             export_boundary_grid(model, None, (0, 1, 0, 1), 2, tmp_path / "g.csv")
         assert not (tmp_path / "g.csv").exists()

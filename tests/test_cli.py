@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -10,8 +11,11 @@ import numpy as np
 import pytest
 
 import libags.cli as cli_module
+import libags.pipeline as pipeline_module
 from libags.cli import build_parser, main
-from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv
+from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_moons, write_candidate_csv, write_labeled_csv, load_candidate_csv, load_labeled_csv
+from libags.pipeline import PipelineConfig, run_selection
+from libags.score import ScoreRecord
 
 
 @pytest.fixture()
@@ -277,6 +281,25 @@ class TestScoreCommand:
         n_pool = load_candidate_csv(cands, 2).n_rows
         assert len(lines) == 1 + n_pool
 
+    def test_runs_no_selection_and_writes_the_report_score_records(self, moon_files, fast_config, tmp_path, monkeypatch):
+        real_path, cand_path = moon_files
+        out = tmp_path / "scores.csv"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("score ran a stage of the selection half")
+
+        for name in ("build_regions", "pool_kernel", "greedy_select", "soft_label"):
+            monkeypatch.setattr(pipeline_module, name, refuse)
+        assert main(["score", "--real", str(real_path), "--candidates", str(cand_path), "--out", str(out), "--config", str(fast_config)]) == 0
+        monkeypatch.undo()
+        pool = load_candidate_csv(cand_path, 2)
+        report = run_selection(load_labeled_csv(real_path, 2), pool, PipelineConfig.from_json_file(fast_config))
+        with open(out, newline="", encoding="utf-8") as fh:
+            header, *body = csv.reader(fh)
+        assert header == ["index", "source_id", *ScoreRecord.FIELDS]
+        want = [[str(i), source_id, *dataclasses.astuple(record)] for i, (source_id, record) in enumerate(zip(pool.source_ids, report.scores))]
+        assert [[index, source_id, *map(float, cells)] for index, source_id, *cells in body] == want
+
     def test_source_ids_with_commas_quotes_and_newlines_keep_their_column(self, fast_config, tmp_path):
         train, _, pool = make_two_moons(30, 0.25, 0.4, 0)
         ids = tuple(f'gen,"{i}"' if i % 3 == 0 else (f"line\nbreak {i}" if i % 3 == 1 else f"plain{i}") for i in range(pool.n_rows))
@@ -305,6 +328,42 @@ class TestScoreCommand:
         )
         assert proc.returncode == 0, proc.stderr
         assert "\n0,café," in out.read_text(encoding="utf-8")
+
+
+# Each command, the function in cli's namespace its work starts with, and
+# whether its --out names a directory rather than a file.
+OUT_COMMANDS = {
+    "select": ("run_selection", False),
+    "score": ("score_pool", False),
+    "bench": ("run_bench", True),
+    "demo-two-moons": ("moons_world", True),
+}
+
+
+# A directory output is created with its missing parents, so only a file output has a missing parent.
+UNUSABLE_OUTS = [(command, where) for command, (_, directory) in sorted(OUT_COMMANDS.items())
+                 for where in ["under-a-file", "taken"] + ([] if directory else ["missing-parent"])]
+
+
+@pytest.mark.parametrize("command, where", UNUSABLE_OUTS)
+def test_unusable_out_exits_two_before_any_work(command, where, moon_files, tmp_path, capsys, monkeypatch):
+    real, cands = moon_files
+    work, directory = OUT_COMMANDS[command]
+    (tmp_path / "file").write_text("kept")
+    (tmp_path / "dir").mkdir()
+    # taken: a file output that is a directory, or a directory output that is a file
+    out = {"under-a-file": tmp_path / "file" / "out", "taken": tmp_path / ("file" if directory else "dir"),
+           "missing-parent": tmp_path / "missing" / "out"}[where]
+    argv = {"bench": ["bench", "--methods", "erm", "--seeds", "0"], "demo-two-moons": ["demo-two-moons", "--resolution", "4"]}.get(
+        command, [command, "--real", str(real), "--candidates", str(cands)])
+    calls = []
+    monkeypatch.setattr(cli_module, work, lambda *args, **kwargs: calls.append(args))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ") and str(out) in err
+    assert calls == []
+    assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "file").read_text() == "kept"
 
 
 class TestBenchCommand:

@@ -136,7 +136,7 @@ class TestFitLogistic:
 
 class TestPredictProba:
     def test_zero_model_uniform(self):
-        model = LogisticModel(np.zeros((3, 2)), np.zeros(3), 0.0)
+        model = LogisticModel(np.zeros((3, 2)), np.zeros(3))
         probs = predict_proba(model, FeatureMatrix(np.random.default_rng(0).normal(size=(4, 2))))
         np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-15)
 
@@ -144,18 +144,18 @@ class TestPredictProba:
         rng = np.random.default_rng(3)
         W = rng.normal(size=(3, 4))
         x = FeatureMatrix(rng.normal(size=(6, 4)))
-        base = predict_proba(LogisticModel(W, np.zeros(3), 0.0), x)
-        shifted = predict_proba(LogisticModel(W, np.full(3, 7.5), 0.0), x)
+        base = predict_proba(LogisticModel(W, np.zeros(3)), x)
+        shifted = predict_proba(LogisticModel(W, np.full(3, 7.5)), x)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
 
     def test_log_three_logit_gap(self):
-        model = LogisticModel(np.array([[math.log(3.0)], [0.0]]), np.zeros(2), 0.0)
+        model = LogisticModel(np.array([[math.log(3.0)], [0.0]]), np.zeros(2))
         probs = predict_proba(model, FeatureMatrix(np.array([[1.0]])))
         np.testing.assert_allclose(probs[0], [0.75, 0.25], atol=1e-9)
 
     def test_rows_sum_to_one_and_positive(self):
         rng = np.random.default_rng(4)
-        model = LogisticModel(rng.normal(size=(4, 3)) * 50, rng.normal(size=4), 0.0)
+        model = LogisticModel(rng.normal(size=(4, 3)) * 50, rng.normal(size=4))
         probs = predict_proba(model, FeatureMatrix(rng.normal(size=(100, 3))))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(probs > 0)
@@ -216,7 +216,7 @@ def reference_fit(x, targets, l2: float, epochs: int, lr: float) -> LogisticMode
         losses.append(loss)
         W -= lr * grad_w
         b -= lr * grad_b
-    return LogisticModel(W, b, l2, tuple(losses))
+    return LogisticModel(W, b, tuple(losses))
 
 
 def reference_predict_proba(model, x):
@@ -366,4 +366,4 @@ class TestModelShapes:
     )
     def test_inconsistent_shapes_rejected(self, weights, bias):
         with pytest.raises(ValidationError, match="weights must be"):
-            LogisticModel(weights, bias, 0.0)
+            LogisticModel(weights, bias)

@@ -16,7 +16,7 @@ from libags.data import CandidatePool, FeatureMatrix, LabeledDataset, make_two_m
 from libags.errors import ValidationError
 from libags.geometry import pool_kernel
 from libags.model import fit_logistic, one_hot, predict_proba
-from libags.pipeline import PipelineConfig, REPORT_FORMAT, fit_with_extra, run_selection, train_final
+from libags.pipeline import STAGES, PipelineConfig, REPORT_FORMAT, fit_with_extra, run_selection, score_pool, select_scored, train_final
 from libags.score import ScoreRecord
 from libags.select import GainStep, build_regions, greedy_select
 
@@ -278,13 +278,9 @@ class TestRunSelection:
         assert report.selected != run_selection(train, pool, config.replace(kernel_bandwidth="median-knn")).selected
 
     def test_knee_less_pass_warns_instead_of_selecting_the_pool_silently(self):
-        # Features scaled by 1e3 saturate the scoring fit: one candidate
-        # takes a gain of 60 and the other two about 1e-299, so the knee
-        # search sees fewer than 3 gains and eta falls back to 0.
-        rng = np.random.default_rng(20)
-        real = LabeledDataset(FeatureMatrix(rng.normal(size=(6, 1)) * 1e3), rng.integers(0, 2, 6), 2)
-        pool = CandidatePool(FeatureMatrix(rng.normal(size=(3, 1)) * 1e3), rng.integers(0, 2, 3), (), 2)
-        report = run_selection(real, pool, PipelineConfig(epochs=300))
+        # One candidate takes a gain of 60 and the other two about 1e-299,
+        # so the knee search sees fewer than 3 gains and eta falls back to 0.
+        report = run_selection(*knee_less_case())
         assert report.eta == 0.0 and report.m_hat == 3
         assert len(report.warnings) == 1
         assert report.warnings[0].startswith("eta is 0:")
@@ -451,6 +447,43 @@ class TestReportJson:
                 assert report.to_json(include_timings) == reference_json(report, include_timings)
 
 
+def knee_less_case():
+    """Features scaled by 1e3 saturate the scoring fit, so the greedy finds no knee and warns (eta 0)."""
+    rng = np.random.default_rng(20)
+    real = LabeledDataset(FeatureMatrix(rng.normal(size=(6, 1)) * 1e3), rng.integers(0, 2, 6), 2)
+    pool = CandidatePool(FeatureMatrix(rng.normal(size=(3, 1)) * 1e3), rng.integers(0, 2, 3), (), 2)
+    return real, pool, PipelineConfig(epochs=300)
+
+
+class TestScoredPool:
+    @pytest.mark.parametrize("case", ["two-moons", "knee-less"])
+    def test_selecting_twice_gives_equal_reports_and_leaves_the_pool_unchanged(self, case):
+        if case == "knee-less":
+            real, pool, config = knee_less_case()
+            external = None
+        else:
+            real, pool, config, external = overlap_case(case)
+        scored = score_pool(real, pool, config, external_proba=external)
+        warnings, timings = list(scored.warnings), dict(scored.stage_seconds)
+        arrays = {name: column.copy() for name, column in scored.scores.items()}
+        first, second = select_scored(scored), select_scored(scored)
+        assert first.m_hat > 0 and (first.warnings != []) == (case == "knee-less")
+        assert first.to_json() == second.to_json() == run_selection(real, pool, config, external_proba=external).to_json()
+        assert scored.warnings == warnings and scored.stage_seconds == timings
+        assert list(scored.scores) == list(ScoreRecord.FIELDS)
+        for name, column in scored.scores.items():
+            assert np.array_equal(column, arrays[name])
+
+    def test_scoring_half_times_its_stages_and_leaves_the_rest_at_zero(self):
+        real, pool, config, _ = overlap_case("two-moons")
+        scored = score_pool(real, pool, config)
+        assert list(scored.stage_seconds) == list(STAGES)
+        first_half = {"scoring_model", "candidate_scores", "geometry", "allocation"}
+        assert all((seconds > 0) == (stage in first_half) for stage, seconds in scored.stage_seconds.items())
+        report = select_scored(scored)
+        assert [report.stage_seconds[stage] for stage in first_half] == [scored.stage_seconds[stage] for stage in first_half]
+
+
 class InlineExecutor:
     """Stands in for ThreadPoolExecutor: runs each submitted call at once on the calling thread."""
 
@@ -489,6 +522,21 @@ def overlap_case(case):
 
 def blas_threads():
     return None if geometry._BLAS_THREADS is None else geometry._BLAS_THREADS[0]()
+
+
+def record_threads(monkeypatch) -> dict:
+    """Record, for each of the kNN query, the kernel, k-means and the scoring fit, the thread and BLAS thread count of its last call."""
+    seen = {}
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = (threading.get_ident(), blas_threads())
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("knn_distances", "pool_kernel", "build_regions", "fit_logistic"):
+        monkeypatch.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
+    return seen
 
 
 class KernelFailure(RuntimeError):
@@ -553,16 +601,7 @@ class TestKernelWorker:
 
     def test_kernel_runs_off_the_calling_thread_on_one_blas_thread(self, monkeypatch):
         real, pool, config, _ = overlap_case("two-moons")
-        seen = {}
-
-        def recording(name, fn):
-            def call(*args, **kwargs):
-                seen[name] = (threading.get_ident(), blas_threads())
-                return fn(*args, **kwargs)
-            return call
-
-        for name in ("knn_distances", "pool_kernel", "build_regions", "fit_logistic"):
-            monkeypatch.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
+        seen = record_threads(monkeypatch)
         before = blas_threads()
         assert run_selection(real, pool, config).m_hat > 0
         caller = threading.get_ident()
@@ -571,6 +610,33 @@ class TestKernelWorker:
         if before is not None:
             assert {threads for _, threads in seen.values()} == {1}
             assert blas_threads() == before
+
+    def test_score_pool_runs_knn_off_the_calling_thread_on_one_blas_thread(self, monkeypatch):
+        real, pool, config, _ = overlap_case("two-moons")
+        seen = record_threads(monkeypatch)
+        before = blas_threads()
+        score_pool(real, pool, config)
+        caller = threading.get_ident()
+        assert set(seen) == {"knn_distances", "fit_logistic"}
+        assert seen["knn_distances"][0] != caller and seen["fit_logistic"][0] == caller
+        if before is not None:
+            assert {threads for _, threads in seen.values()} == {1}
+            assert blas_threads() == before
+
+    @pytest.mark.parametrize("failing", ["knn_distances", "fit_logistic"])
+    def test_score_pool_error_propagates_and_the_worker_is_joined(self, failing, monkeypatch):
+        real, pool, config, _ = overlap_case("two-moons")
+        baseline = threading.active_count()
+        before = blas_threads()
+
+        def fail(*args, **kwargs):
+            raise KernelFailure(failing)
+
+        monkeypatch.setattr(pipeline_module, failing, fail)
+        with pytest.raises(KernelFailure, match=failing):
+            score_pool(real, pool, config)
+        assert threading.active_count() == baseline
+        assert blas_threads() == before
 
     @pytest.mark.parametrize("failing", ["knn_distances", "pool_kernel", "build_regions"])
     def test_error_in_either_thread_propagates_and_threads_are_joined(self, failing, monkeypatch):
