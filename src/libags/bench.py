@@ -7,11 +7,10 @@ the same function. The adaptive selector runs first so its learned
 count can be handed to each fixed-count baseline, which keeps the
 comparison about *which* candidates were chosen rather than how many.
 
-The encoded pool and the encoded test split are the seed's largest
-arrays, so each lives only while a stage reads it. The world keeps
-neither: ``run_bench`` encodes the pool once to build every method's
-extra rows and drops it before the first fit, then encodes the test
-split once after the last fit to evaluate every model.
+The world holds neither an encoded pool nor an encoded test split, the
+seed's largest arrays: the pool is encoded only to score it, each method
+encodes only the rows it adds, and the test split is encoded once, after
+the seed's last fit.
 
 Scoring happens on encoded features while the selector's geometry runs
 in the raw 2-D input space (probabilities injected via the pipeline's
@@ -96,11 +95,7 @@ def _evaluate(model: LogisticModel, test_encoded: FeatureMatrix, test_labels) ->
 
 @dataclass(frozen=True)
 class MoonsWorld:
-    """One seed's two-moons task, scored and selected once.
-
-    Only the training split is held encoded; ``encoded_pool`` encodes the
-    pool afresh, with the same bits every call, for whoever reads it.
-    """
+    """One seed's two-moons task, scored and selected once; each method encodes only the rows it adds."""
 
     train: LabeledDataset
     test: LabeledDataset
@@ -111,12 +106,9 @@ class MoonsWorld:
     proba_pool: np.ndarray
     report: SelectionReport
 
-    def encoded_pool(self) -> FeatureMatrix:
-        return rff_encode(self.encoder, self.pool.features)
-
     def libags_model(self, config: PipelineConfig) -> LogisticModel:
         """The final classifier: real data plus the selection under its soft labels."""
-        return fit_with_extra(self.z_train, self.encoded_pool().values[self.report.selected], self.report.soft_labels, config)
+        return fit_with_extra(self.z_train, *_extra_rows("libags", self, None), config)
 
 
 def moons_world(seed: int, config: PipelineConfig, n_per_class: int = DEFAULT_N_PER_CLASS,
@@ -133,42 +125,37 @@ def moons_world(seed: int, config: PipelineConfig, n_per_class: int = DEFAULT_N_
     return MoonsWorld(train, test, pool, encoder, z_train, erm, proba_pool, report)
 
 
-def _extra_rows(name: str, world: MoonsWorld, z_pool: FeatureMatrix, rng) -> tuple:
+def _extra_rows(name: str, world: MoonsWorld, rng) -> tuple:
     """The encoded rows and target distributions a method other than erm adds to the real data."""
     train, pool, m_hat = world.train, world.pool, world.report.m_hat
+    if m_hat == 0:  # a FeatureMatrix needs a row
+        return [], []
     if name == "libags":
-        return z_pool.values[world.report.selected], world.report.soft_labels
-    if name == "random":
-        chosen = rng.choice(pool.n_rows, size=m_hat, replace=False) if m_hat else np.empty(0, dtype=int)
-        return z_pool.values[chosen], one_hot(pool.proposed_labels[chosen], 2)
-    if name == "noise":
+        raw, targets = pool.features.values[world.report.selected], world.report.soft_labels
+    elif name == "random":
+        chosen = rng.choice(pool.n_rows, size=m_hat, replace=False)
+        raw, targets = pool.features.values[chosen], one_hot(pool.proposed_labels[chosen], 2)
+    elif name == "noise":
         rows = rng.integers(0, train.n_rows, size=m_hat)
         scale = float(train.features.values.std(axis=0).mean())
-        jitter = rng.normal(0.0, 0.1 * scale, size=(m_hat, 2))
-        noisy = FeatureMatrix._adopt(train.features.values[rows] + jitter) if m_hat else None
-        extra = rff_encode(world.encoder, noisy).values if m_hat else []
-        return extra, one_hot(train.labels[rows], 2)
-    # uncertainty_only
-    top = np.argsort(-entropy_rows(world.proba_pool), kind="stable")[:m_hat]
-    return z_pool.values[top], one_hot(pool.proposed_labels[top], 2)
+        raw = train.features.values[rows] + rng.normal(0.0, 0.1 * scale, size=(m_hat, 2))
+        targets = one_hot(train.labels[rows], 2)
+    else:  # uncertainty_only
+        top = np.argsort(-entropy_rows(world.proba_pool), kind="stable")[:m_hat]
+        raw, targets = pool.features.values[top], one_hot(pool.proposed_labels[top], 2)
+    return rff_encode(world.encoder, FeatureMatrix._adopt(raw)).values, targets
 
 
 def _bench_seed(seed: int, methods, config: PipelineConfig, n_per_class: int, noise_sd: float, gap_halfwidth: float) -> tuple:
     """One seed's ``m_hat`` and each method's (accuracy, auroc).
 
     The seed's arrays die when this returns, before the next seed's world
-    is built.
+    is built. Each (seed, method) pair draws from its own stream, so a
+    method's draws do not depend on which other methods were requested.
     """
     world = moons_world(seed, config, n_per_class, noise_sd, gap_halfwidth)
-    # One encoding of the pool gives every method its extra rows and is
-    # dropped before the first fit. Each (seed, method) pair draws from its
-    # own stream, so a method's draws do not depend on which other methods
-    # were requested.
-    z_pool = world.encoded_pool()
-    extras = {name: _extra_rows(name, world, z_pool, np.random.default_rng(seed + _BASELINE_SEED_OFFSET + METHODS.index(name)))
-              for name in methods if name != "erm"}
-    del z_pool
-    models = {name: world.erm if name == "erm" else fit_with_extra(world.z_train, *extras.pop(name), config) for name in methods}
+    rngs = {name: np.random.default_rng(seed + _BASELINE_SEED_OFFSET + METHODS.index(name)) for name in methods}
+    models = {name: world.erm if name == "erm" else fit_with_extra(world.z_train, *_extra_rows(name, world, rngs[name]), config) for name in methods}
     # The test split is encoded once every model is fit.
     z_test = rff_encode(world.encoder, world.test.features)
     return world.report.m_hat, {name: _evaluate(models[name], z_test, world.test.labels) for name in methods}

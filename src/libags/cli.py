@@ -46,6 +46,8 @@ def _check_out(path, directory: bool) -> None:
     must be one. A directory (``bench``, the demo) is created after the
     run, so it, or else its nearest existing ancestor, must be a directory.
     """
+    if not path:  # no file or directory has the empty name
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     nearest = path if directory else os.path.dirname(path) or os.curdir
     while directory and not os.path.exists(nearest):
         nearest = os.path.dirname(nearest) or os.curdir

@@ -105,8 +105,8 @@ class TestRunBench:
         assert sizes == [train.n_rows] + [train.n_rows + m_hat] * 4
 
     def test_no_encoded_pool_or_test_split_is_alive_while_a_method_fits(self, monkeypatch):
-        # The encoded pool is dropped before the first fit and the test split
-        # is encoded after the last, so no block of either size is traced
+        # The pool is encoded only to score it, after the scoring fit, and the
+        # test split after the last fit, so no block of either size is traced
         # when a fit starts: not the world's scoring fit, nor any method's.
         rff_dim, seeds = 32, [0, 1]
         encoded_sizes, train_rows = set(), []
@@ -133,6 +133,65 @@ class TestRunBench:
         assert all(rows * rff_dim * 8 not in encoded_sizes for rows in train_rows + results[-1].m_hats)
         for sizes in traced_at_entry:
             assert not sizes & encoded_sizes
+
+    @staticmethod
+    def record_bench_calls(monkeypatch):
+        """One list per world built through ``bench.moons_world``, filled as the bench runs.
+
+        Each list holds the world's ``m_hat``, then, in call order, the row
+        count of each ``rff_encode`` call and a ``"fit"`` for each
+        ``fit_with_extra`` call made in the bench's namespace after the
+        world returned.
+        """
+        worlds, building = [], []
+        world_fn, fit_fn, encode_fn = bench_module.moons_world, bench_module.fit_with_extra, bench_module.rff_encode
+
+        def recording_world(*args, **kwargs):
+            building.append(True)
+            try:
+                world = world_fn(*args, **kwargs)
+            finally:
+                building.pop()
+            worlds.append([world.report.m_hat])
+            return world
+
+        def recording_fit(*args, **kwargs):
+            if worlds and not building:
+                worlds[-1].append("fit")
+            return fit_fn(*args, **kwargs)
+
+        def recording_encode(encoder, x):
+            if worlds and not building:
+                worlds[-1].append(x.n_rows)
+            return encode_fn(encoder, x)
+
+        monkeypatch.setattr(bench_module, "moons_world", recording_world)
+        monkeypatch.setattr(bench_module, "fit_with_extra", recording_fit)
+        monkeypatch.setattr(bench_module, "rff_encode", recording_encode)
+        return worlds
+
+    def test_each_method_encodes_only_the_rows_it_adds(self, monkeypatch):
+        # moons_world encodes the pool once, to score it; after that, up to a
+        # seed's last fit, no encoding reads more than the m_hat rows a method
+        # adds. The test split is encoded once, after the last fit.
+        worlds = self.record_bench_calls(monkeypatch)
+        seeds = [0, 1]
+        run_bench(METHODS, seeds, PipelineConfig(epochs=50, rff_dim=16), n_per_class=40)
+        assert len(worlds) == len(seeds)
+        for seed, (m_hat, *calls) in zip(seeds, worlds):
+            assert m_hat > 0
+            assert calls.count("fit") == len(METHODS) - 1
+            last_fit = len(calls) - 1 - calls[::-1].index("fit")
+            encoded = [rows for rows in calls[:last_fit] if rows != "fit"]
+            assert encoded == [m_hat] * (len(METHODS) - 1)
+            assert calls[last_fit + 1:] == [make_two_moons(40, 0.3, 0.55, seed)[1].n_rows]
+
+    def test_the_demo_fit_encodes_only_the_selection(self, monkeypatch):
+        worlds = self.record_bench_calls(monkeypatch)
+        config = PipelineConfig(epochs=50, rff_dim=16)
+        world = bench_module.moons_world(0, config, n_per_class=40)
+        world.libags_model(config)
+        assert worlds == [[world.report.m_hat, world.report.m_hat, "fit"]] and world.report.m_hat > 0
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValidationError):

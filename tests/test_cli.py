@@ -342,7 +342,7 @@ OUT_COMMANDS = {
 
 # A directory output is created with its missing parents, so only a file output has a missing parent.
 UNUSABLE_OUTS = [(command, where) for command, (_, directory) in sorted(OUT_COMMANDS.items())
-                 for where in ["under-a-file", "taken"] + ([] if directory else ["missing-parent"])]
+                 for where in ["under-a-file", "taken", "empty"] + ([] if directory else ["missing-parent"])]
 
 
 @pytest.mark.parametrize("command, where", UNUSABLE_OUTS)
@@ -352,7 +352,7 @@ def test_unusable_out_exits_two_before_any_work(command, where, moon_files, tmp_
     (tmp_path / "file").write_text("kept")
     (tmp_path / "dir").mkdir()
     # taken: a file output that is a directory, or a directory output that is a file
-    out = {"under-a-file": tmp_path / "file" / "out", "taken": tmp_path / ("file" if directory else "dir"),
+    out = {"under-a-file": tmp_path / "file" / "out", "taken": tmp_path / ("file" if directory else "dir"), "empty": "",
            "missing-parent": tmp_path / "missing" / "out"}[where]
     argv = {"bench": ["bench", "--methods", "erm", "--seeds", "0"], "demo-two-moons": ["demo-two-moons", "--resolution", "4"]}.get(
         command, [command, "--real", str(real), "--candidates", str(cands)])
@@ -361,7 +361,7 @@ def test_unusable_out_exits_two_before_any_work(command, where, moon_files, tmp_
     before = sorted(tmp_path.rglob("*"))
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ") and str(out) in err
+    assert len(err.splitlines()) == 1 and err.startswith("i/o error: ") and repr(str(out)) in err
     assert calls == []
     assert sorted(tmp_path.rglob("*")) == before and (tmp_path / "file").read_text() == "kept"
 
