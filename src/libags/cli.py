@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Subcommands: select, score, bench, demo-two-moons.
-Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
+Exit codes: 0 success, 1 validation/usage error or too large an allocation, 2 I/O error.
 Every run is deterministic given its flags; wall-clock stage timings are
 the one optional nondeterministic field and --reproducible drops them.
 """
@@ -195,8 +195,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
-    except LibagsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (LibagsError, MemoryError) as exc:  # numpy's MemoryError names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

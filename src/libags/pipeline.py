@@ -273,16 +273,20 @@ def run_selection(real: LabeledDataset, candidates: CandidatePool, config: Pipel
 
     ``external_proba`` is an optional ``(real_proba, candidate_proba)``
     pair from any scoring model; without it a softmax classifier is fit
-    on the real data. When no candidate has positive importance, or
-    every importance is so far below the smallest normal float that
-    lambda underflows to 0, the report comes back with ``m_hat == 0`` and
-    a warning naming the cause instead of an error.
+    on the real data. Only the candidate half is read: the real half is
+    checked for shape and values, then unused. When no candidate has
+    positive importance, or every importance is so far below the smallest
+    normal float that lambda underflows to 0, the report comes back with
+    ``m_hat == 0`` and a warning naming the cause instead of an error.
     """
     return select_scored(score_pool(real, candidates, config, external_proba))
 
 
 def score_pool(real: LabeledDataset, candidates: CandidatePool, config: PipelineConfig, external_proba=None) -> ScoredPool:
-    """Check the inputs, score every candidate and solve the allocation; ``run_selection``'s first half."""
+    """Check the inputs, score every candidate and solve the allocation; ``run_selection``'s first half.
+
+    Of ``external_proba``, the candidate half gives the scores; the real half is checked, then unused.
+    """
     if real.features.n_cols != candidates.features.n_cols:
         raise ValidationError(
             f"real features have {real.features.n_cols} columns, candidates have {candidates.features.n_cols}"

@@ -79,6 +79,19 @@ def _assign(X, centroids):
     return nearest(X, centroids, 1, index=True)
 
 
+def _cluster_means(values, assignment, out):
+    """Write the mean of each nonempty cluster's rows of ``values`` to its row of ``out``; empty clusters' rows keep their contents.
+
+    A stable argsort lists cluster j's rows in the order ``values[assignment == j]``
+    reads them, so row j of ``out`` keeps the bits of that gather's mean.
+    """
+    counts = np.bincount(assignment, minlength=out.shape[0])
+    order = np.argsort(assignment, kind="stable")
+    ends = np.cumsum(counts)
+    for j in np.flatnonzero(counts):
+        out[j] = values[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
+
+
 def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatrix, r, n_regions: int, seed: int) -> RegionTable:
     """Cluster candidates with seeded k-means and count real coverage per cluster.
 
@@ -97,13 +110,7 @@ def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatri
     centroids = _kmeans_pp_init(X, n_regions, rng)
     assignment = _assign(X, centroids)
     for _ in range(50):
-        # A stable argsort lists each cluster's rows in ascending order, the
-        # rows and order X[assignment == j] reads, so the means keep their bits.
-        counts = np.bincount(assignment, minlength=n_regions)
-        order = np.argsort(assignment, kind="stable")
-        ends = np.cumsum(counts)
-        for j in np.flatnonzero(counts):
-            centroids[j] = X[order[ends[j] - counts[j]:ends[j]]].mean(axis=0)
+        _cluster_means(X, assignment, centroids)
         new_assignment = _assign(X, centroids)
         if np.array_equal(new_assignment, assignment):
             break
@@ -112,10 +119,7 @@ def build_regions(real_features: FeatureMatrix, candidate_features: FeatureMatri
     real_assignment = _assign(real_features.values, centroids)
     c = np.bincount(real_assignment, minlength=n_regions).astype(np.float64) + 1.0
     r_region = np.zeros(n_regions)
-    for j in range(n_regions):
-        members = assignment == j
-        if members.any():
-            r_region[j] = r[members].mean()
+    _cluster_means(r, assignment, r_region)
     return RegionTable(assignment, c, r_region)
 
 
@@ -200,10 +204,12 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
 
     A zero-valued column adds nothing to F, so the cover and each
     facility pass cover the valued columns only. Each pass's terms are
-    scattered into a length-M buffer that holds ``values * 0.0``, the
-    signed zeros those columns contribute, before the sum: the summed
+    scattered into a buffer of M-wide rows that hold ``values * 0.0``,
+    the signed zeros those columns contribute, before the sum: the summed
     vector, and so every gain, keeps the bits of a pass over all M
-    columns.
+    columns. One routine makes every pass: on _INIT_ROWS-row blocks for
+    the initial bounds, which are its first pass at cover 0, and on the
+    buffers' first row for each refresh.
     """
     values = np.asarray(values, dtype=np.float64)
     M = values.size
@@ -220,9 +226,12 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
     assignment = regions.assignment.tolist()
     valued_values = values[valued]
     cover = np.zeros(u)
-    terms = np.empty(u)
-    # With every candidate valued the terms are the whole summed vector.
-    summed = terms if u == M else values * 0.0
+    # One buffer pair serves every facility pass: terms are gathered in
+    # (rows, u) and summed in (rows, M), whose zero-valued columns hold
+    # values * 0.0. With every candidate valued the two are one buffer.
+    summed = np.tile(values * 0.0, (_INIT_ROWS, 1))
+    gathered = summed if u == M else np.empty((_INIT_ROWS, u))
+    refresh = gathered[0], summed[0]  # 1-D views: refreshes through (1, u) blocks run slower
     t = np.zeros(regions.n_regions, dtype=np.int64)
     # Current region gain per region; marginal_gain rejects c <= 0 here, up front.
     region_now = [float(marginal_gain(r_j, c_j, 0)) for r_j, c_j in zip(regions.r_region, regions.c)]
@@ -230,42 +239,27 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
         raise ValidationError("region gains must be numbers: r_region or c holds NaN")
     gains_log: list = []
     selected: list = []
+    evaluations = 0
 
-    def facility_gain(j):
-        """Marginal coverage gain of candidate j given the current cover."""
+    def facility_gains(rows, terms, sums):
+        """Marginal coverage gains, given the current cover, of the similarity ``rows`` (one row or a block) through buffer views ``terms`` and ``sums`` of their shape."""
         nonlocal evaluations
-        evaluations += 1
-        np.subtract(similarity[j], cover, out=terms)
+        np.subtract(rows, cover, out=terms)
         np.maximum(terms, 0.0, out=terms)
         np.multiply(terms, valued_values, out=terms)
-        if summed is not terms:
-            summed[valued] = terms
-        return float(summed.sum())
+        if u < M:
+            sums.T[valued] = terms.T  # the columns of a block, the entries of a row
+        gains = sums.sum(axis=-1)
+        evaluations += gains.size
+        return gains
 
     # Heap entries: (-(facility + region), candidate, facility, region, n_selected when facility was computed).
-    # At cover 0 a pass is max(S[j], 0) * values (S[j] - 0 is S[j]). The
-    # rows go _INIT_ROWS at a time through one buffer whose zero-valued
-    # columns hold values * 0.0; sum(axis=1) of a C-contiguous block equals
-    # each row's sum(), so the bounds keep facility_gain's bits.
     heap = []
-    block = np.empty((min(_INIT_ROWS, M), M))
-    if summed is terms:
-        gathered = block
-    else:
-        gathered = np.empty((block.shape[0], u))
-        block[...] = summed
     for start in range(0, M, _INIT_ROWS):
-        rows = gathered[:min(_INIT_ROWS, M - start)]
-        np.maximum(similarity[start:start + _INIT_ROWS], 0.0, out=rows)
-        rows *= valued_values
-        part = block[:rows.shape[0]]
-        if summed is not terms:
-            part[:, valued] = rows
-        for j, facility in enumerate(part.sum(axis=1).tolist(), start):
+        n = min(_INIT_ROWS, M - start)
+        for j, facility in enumerate(facility_gains(similarity[start:start + n], gathered[:n], summed[:n]).tolist(), start):
             region_g = region_now[assignment[j]]
             heap.append((-(facility + region_g), j, facility, region_g, 0))
-    del block, gathered
-    evaluations = M  # one initial pass per candidate
     heapq.heapify(heap)
 
     def advance(threshold):
@@ -285,7 +279,7 @@ def greedy_select(values, similarity, regions: RegionTable, eta: float | None = 
                 heapq.heapreplace(heap, (-(facility + current), j, facility, current, stamp))
                 continue
             if stamp != len(selected):
-                facility = facility_gain(j)
+                facility = float(facility_gains(similarity[j], *refresh))
                 heapq.heapreplace(heap, (-(facility + current), j, facility, current, len(selected)))
                 continue
             best = -neg_bound

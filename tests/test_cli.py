@@ -222,6 +222,26 @@ def test_too_many_feature_columns_exits_one_with_one_error_line(tmp_path, capsys
     assert "Traceback" not in err
 
 
+# Commands whose arrays cannot fit in memory: (extra arguments, the size the error line names)
+TOO_LARGE = {
+    "demo-grid": (["demo-two-moons", "--resolution", "3000000"], "65.5 TiB"),
+    "select-one-hot": (["select", "--n-classes", "100000000000"], "TiB"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LARGE))
+def test_allocation_too_large_exits_one_with_one_error_line(case, moon_files, fast_config, tmp_path, capsys):
+    extra, named = TOO_LARGE[case]
+    real, cands = moon_files
+    paths = ["--out", str(tmp_path / "demo")] if extra[0] == "demo-two-moons" else ["--real", str(real), "--candidates", str(cands), "--out", str(tmp_path / "r.json")]
+    code = main([*extra, *paths, "--config", str(fast_config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
+    assert "Traceback" not in err
+
+
 REAL_HEADER = b"feature_0,feature_1,label\n"
 PROBA_HEADER = b"prob_0,prob_1\n"
 

@@ -15,6 +15,7 @@ from libags.select import (
     GainStep,
     SelectionState,
     _assign,
+    _cluster_means,
     _kmeans_pp_init,
     build_regions,
     greedy_select,
@@ -204,6 +205,18 @@ class TestBuildRegions:
             assert len(got) == len(centroids) and all(np.array_equal(a, b) for a, b in zip(got, centroids)), K
             centroids.clear()
         assert np.bincount(table.assignment, minlength=8).min() == 0
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_cluster_means_bit_identical_to_mask_means(self, shape):
+        rng = np.random.default_rng(23)
+        values = rng.normal(size=(500, *shape)) * 10.0 ** rng.uniform(-8.0, 8.0, size=(500, *shape))
+        assignment = rng.integers(0, 40, 500)
+        assignment[assignment == 7] = 8  # cluster 7 is empty
+        out = np.full((41, *shape), 2.5)  # and so is cluster 40
+        _cluster_means(values, assignment, out)
+        for j in range(41):
+            want = values[assignment == j].mean(axis=0) if j in assignment else np.full(shape, 2.5)
+            assert out[j].tobytes() == np.asarray(want).tobytes(), j
 
     def test_memory_is_a_few_blocks(self):
         # Each k-means assignment screens one block of about _BLOCK distances
@@ -435,17 +448,25 @@ class TestGreedySelect:
 class TestInitialCombinedGains:
     def test_matches_first_greedy_evaluation(self):
         rng = np.random.default_rng(12)
-        values, bandwidth, feats, regions = random_instance(rng, max_m=30)
-        sim = pool_kernel(feats, np.arange(feats.n_rows), bandwidth)
-        gains = initial_combined_gains(values, sim, regions)
-        for j in range(values.size):
-            region = regions.assignment[j]
-            fac = float(np.sum(values * np.maximum(sim[:, j] - 0.0, 0.0)))
-            reg = regions.r_region[region] / (regions.c[region] * (regions.c[region] + 1.0))
-            assert gains[j] == fac + reg
-        first = greedy_select(values, valued_columns(values, sim), regions, 0.0, max_budget=1).gains_log[0]
-        assert first.candidate == int(gains.argmax())
-        assert first.combined_gain == gains.max()
+        _, bandwidth, feats, regions = random_instance(rng, max_m=30)
+        M = feats.n_rows
+        sim = pool_kernel(feats, np.arange(M), bandwidth)
+        for zero in (None, 0.0, -0.0):  # u = M, then u < M with +0.0 or -0.0 values
+            values = rng.uniform(0.01, 1.0, M)
+            if zero is not None:
+                values[rng.random(M) < 0.3] = zero
+                assert 0 < np.count_nonzero(values) < M
+            gains = initial_combined_gains(values, sim, regions)
+            for j in range(M):
+                region = regions.assignment[j]
+                fac = float(np.sum(values * np.maximum(sim[:, j] - 0.0, 0.0)))
+                reg = regions.r_region[region] / (regions.c[region] * (regions.c[region] + 1.0))
+                assert gains[j] == fac + reg
+            valued = valued_columns(values, sim)
+            first = greedy_select(values, valued, regions, 0.0, max_budget=1).gains_log[0]
+            assert first.candidate == int(gains.argmax())
+            assert first.combined_gain == gains.max()
+            assert greedy_select(values, valued, regions, 0.0, max_budget=0).evaluations == M
 
 
 def wide_range_instance(rng, max_m=60):
